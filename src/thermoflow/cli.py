@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ThermoflowError, ValueError, KeyError, IndexError, TypeError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

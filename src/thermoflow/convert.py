@@ -2,10 +2,11 @@
 
 The production path decides the quasiorder geometrically, by comparing
 rescaled Lorenz curves (O(d log d)). The feasibility oracle answers the
-same question by searching directly for a stochastic matrix that fixes
-the equilibrium vector and maps source to target; it is exponentially
-more honest and polynomially more expensive, so it lives behind a size
-cap and exists to cross-check the curves, not to replace them.
+same question by searching directly for a d_T x d_S stochastic matrix M
+with M g_S = g_T and M r = s (relative majorization of (r, g_S) over
+(s, g_T)): an LP in d_S*d_T variables that lives behind a size cap and
+exists to cross-check the curves, not to replace them. Across tables
+the witness is lifted to the composed system the curves compare on.
 """
 
 from __future__ import annotations
@@ -99,19 +100,6 @@ def can_convert(q: ConversionQuery) -> bool:
     return dominates(build_curve(left, q.ctx), build_curve(right, q.ctx))
 
 
-def _transport_vectors(q: ConversionQuery):
-    """(r, s, g) for the LP, composing when the tables differ."""
-    if _same_table(q.source.spec, q.target.spec):
-        g = gibbs_state(q.source.spec, q.ctx)
-        return q.source.r, q.target.r, g.r
-    g_src = gibbs_state(q.source.spec, q.ctx)
-    g_tgt = gibbs_state(q.target.spec, q.ctx)
-    r = compose(q.source, g_tgt).r
-    s = compose(g_src, q.target).r
-    g = compose(g_src, g_tgt).r
-    return r, s, g
-
-
 def _check_cap(q: ConversionQuery):
     cap = oracle_dim_cap(ORACLE_DIM_DEFAULT)
     if q.source.dim > cap or q.target.dim > cap:
@@ -121,64 +109,72 @@ def _check_cap(q: ConversionQuery):
         )
 
 
-def _equistochastic_rows(g: np.ndarray):
-    """Constraint rows for column sums and M g = g over vectorized M."""
-    d = g.size
-    eye = np.eye(d)
-    colsum = np.tile(eye, d)                      # sum_i m[i, j] = 1
-    fix_g = np.kron(eye, g.reshape(1, -1))        # sum_j g[j] m[i, j] = g[i]
-    return colsum, fix_g
+def _transport_lp(q: ConversionQuery):
+    """(g_S, g_T, A, b) for the equality rows over the entries of M.
+
+    M is d_T x d_S, vectorized row-major. The rows are the d_S unit
+    column sums, then M g_S = g_T and M r = s (d_T rows each).
+    """
+    _check_query(q)
+    _check_cap(q)
+    r, s = q.source.r, q.target.r
+    g_src = gibbs_state(q.source.spec, q.ctx).r
+    g_tgt = gibbs_state(q.target.spec, q.ctx).r
+    eye = np.eye(s.size)
+    A = np.vstack([
+        np.tile(np.eye(r.size), s.size),          # sum_j m[j, k] = 1
+        np.kron(eye, g_src.reshape(1, -1)),       # sum_k g_S[k] m[j, k] = g_T[j]
+        np.kron(eye, r.reshape(1, -1)),           # sum_k r[k] m[j, k] = s[j]
+    ])
+    b = np.concatenate([np.ones(r.size), g_tgt, s])
+    return g_src, g_tgt, A, b
 
 
 def feasibility_oracle(q: ConversionQuery):
     """Witness matrix for the conversion, or None when infeasible.
 
-    Solves {M >= 0, columns sum to 1, M g = g, M r = s} with the dense
-    phase-1 simplex and must agree with ``can_convert`` on every
-    instance; the variables are the d*d entries of M, row-major.
+    Solves {M >= 0, columns sum to 1, M g_S = g_T, M r = s} with the
+    dense phase-1 simplex over the d_T*d_S entries of M, and must agree
+    with ``can_convert`` on every instance. Over one table the witness
+    is M itself. Across tables M is lifted to the composed witness
+    W[(i, j), (k, l)] = g_S[i] M[j, k], i.e. x -> g_S (x) M(tr_T x),
+    which fixes g_S (x) g_T and maps r (x) g_T to g_S (x) s.
     """
-    _check_query(q)
-    _check_cap(q)
-    r, s, g = _transport_vectors(q)
-    d = g.size
-    colsum, fix_g = _equistochastic_rows(g)
-    move_r = np.kron(np.eye(d), r.reshape(1, -1))
-    A = np.vstack([colsum, fix_g, move_r])
-    b = np.concatenate([np.ones(d), g, s])
-    status, x, _ = solve_standard_lp(A, b, np.zeros(d * d))
+    g_src, g_tgt, A, b = _transport_lp(q)
+    r, s = q.source.r, q.target.r
+    status, x, _ = solve_standard_lp(A, b, np.zeros(A.shape[1]))
     if status == "infeasible":
         return None
-    matrix = np.clip(x[: d * d].reshape(d, d), 0.0, None)
+    matrix = np.clip(x.reshape(s.size, r.size), 0.0, None)
+    if not _same_table(q.source.spec, q.target.spec):
+        # Lift M and check the witness against the composed vectors.
+        matrix = np.einsum("i,jk,l->ijkl", g_src, matrix, np.ones(s.size))
+        matrix = matrix.reshape(r.size * s.size, -1)
+        r, s = np.kron(r, g_tgt), np.kron(g_src, s)
+        g_src = g_tgt = np.kron(g_src, g_tgt)
     witness = WitnessMatrix(matrix)
-    for got, want in ((matrix @ g, g), (matrix @ r, s)):
+    for got, want in ((matrix @ g_src, g_tgt), (matrix @ r, s)):
         if np.abs(got - want).max() > WITNESS_ATOL:
             raise ArithmeticError("feasible witness violates its defining equations")
     return witness
 
 
 def smallest_epsilon(q: ConversionQuery) -> float:
-    """Least trace distance to the target over all equistochastic images.
+    """Least trace distance to the target over all free images of the source.
 
-    Minimizes (1/2) || M r - s ||_1 subject to M >= 0, unit column sums
-    and M g = g. Zero exactly when the conversion is possible.
+    Minimizes (1/2) || M r - s ||_1 over d_T x d_S matrices M >= 0 with
+    unit column sums and M g_S = g_T. Zero exactly when the conversion
+    is possible. Across tables this is also the composed optimum: the
+    lifted witness of any M lies at the same distance, and tracing S out
+    of any composed map gives an M that is no farther.
     """
-    _check_query(q)
-    _check_cap(q)
-    r, s, g = _transport_vectors(q)
-    d = g.size
-    colsum, fix_g = _equistochastic_rows(g)
-    move_r = np.kron(np.eye(d), r.reshape(1, -1))
-    # Variables: the d*d entries of M, then u, v with M r - s = u - v.
-    n_m = d * d
-    A = np.zeros((3 * d, n_m + 2 * d))
-    A[:d, :n_m] = colsum
-    A[d:2 * d, :n_m] = fix_g
-    A[2 * d:, :n_m] = move_r
-    A[2 * d:, n_m:n_m + d] = -np.eye(d)
-    A[2 * d:, n_m + d:] = np.eye(d)
-    b = np.concatenate([np.ones(d), g, s])
-    c = np.concatenate([np.zeros(n_m), np.full(2 * d, 0.5)])
-    status, _, objective = solve_standard_lp(A, b, c)
+    _, _, A, b = _transport_lp(q)
+    # Variables: the entries of M, then u, v >= 0 with M r - s = u - v.
+    d = q.target.dim
+    slack = np.zeros((A.shape[0], 2 * d))
+    slack[-d:] = np.hstack([-np.eye(d), np.eye(d)])
+    c = np.concatenate([np.zeros(A.shape[1]), np.full(2 * d, 0.5)])
+    status, _, objective = solve_standard_lp(np.hstack([A, slack]), b, c)
     if status != "optimal":
         raise ArithmeticError(f"distance LP ended {status}; it is feasible by construction")
     return float(min(max(objective, 0.0), 1.0))

@@ -19,7 +19,8 @@ from .theory import QuasiclassicalState, TheoryContext, gibbs_weights
 # Absolute tolerance for one curve dipping below another (curves are built
 # from unit-scale probabilities).
 DOMINATION_ATOL = 1e-12
-# Widths must agree this closely before curves are comparable at all.
+# Widths must agree this closely, relative to widths above 1, before curves
+# are comparable at all.
 WIDTH_ATOL = 1e-9
 # Dips within this band of the decision boundary get flagged as near ties.
 NEAR_TIE_BAND = 1e-10
@@ -93,7 +94,7 @@ def compare(a: LorenzCurve, b: LorenzCurve) -> DominationResult:
     Both curves are piecewise linear, so checking the union of their
     breakpoints is sufficient.
     """
-    if abs(a.width - b.width) > WIDTH_ATOL:
+    if abs(a.width - b.width) > WIDTH_ATOL * max(1.0, a.width, b.width):
         raise WidthMismatch(f"curve widths differ: {a.width!r} vs {b.width!r}")
     grid = np.union1d(a.x, b.x)
     grid = np.clip(grid, 0.0, min(a.width, b.width))

@@ -39,8 +39,8 @@ BATTERY_SLACK = 1e-9
 
 def _normalized(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if np.any(arr < 0):
-        raise NormalizationError(f"{name} must be nonnegative")
+    if not np.all(arr >= 0):  # false for NaN too
+        raise NormalizationError(f"{name} must be finite and nonnegative")
     total = arr.sum()
     if abs(total - 1.0) > RENORMALIZE_ATOL:
         raise NormalizationError(f"{name} sums to {total!r}, too far from 1")

@@ -240,8 +240,8 @@ class QuasiclassicalState:
             raise DimensionMismatch(
                 f"state vector has length {arr.size}, spec dimension is {self.spec.dim}"
             )
-        if np.any(arr < -NORMALIZATION_ATOL):
-            raise NormalizationError("probabilities must be nonnegative")
+        if not np.all(arr >= -NORMALIZATION_ATOL):  # false for NaN too
+            raise NormalizationError("probabilities must be finite and nonnegative")
         arr = np.clip(arr, 0.0, None)
         total = arr.sum()
         if abs(total - 1.0) > RENORMALIZE_ATOL:

@@ -140,6 +140,31 @@ def test_malformed_json_exits_2(tmp_path):
         assert result.stderr.startswith("error:")
 
 
+def test_overflowing_partition_function_exits_2(tmp_path):
+    shifted = write_json(tmp_path / "shifted.json", {
+        "representation": "energy", "beta": 1.0, "intensive": [],
+        "operators": [{"label": "H", "eigenvalues": [-800.0, -799.0, -798.0]}],
+        "r": [0.7, 0.2, 0.1],
+    })
+    result = run_cli("gibbs", shifted)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_nan_probabilities_exit_2(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"representation": "energy", "beta": 1.0, "intensive": [],'
+        ' "operators": [{"label": "H", "eigenvalues": [0.0, 1.0, 2.0]}],'
+        ' "r": [NaN, 0.5, 0.5]}', encoding="utf-8")
+    result = run_cli("work", str(path), "--epsilon", "0.1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_file_exits_2(tmp_path):
     result = run_cli("gibbs", str(tmp_path / "nope.json"))
     assert result.returncode == 2

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 import thermoflow as tf
 from thermoflow.errors import ContextMismatch, TooLarge
+from thermoflow.simplex import solve_standard_lp
 
 from conftest import (
     majorizes,
@@ -195,3 +198,128 @@ def test_quasiorder_axioms_sample():
         assert tf.can_convert(tf.ConversionQuery(a, b, ctx))
         assert tf.can_convert(tf.ConversionQuery(b, c, ctx))
         assert tf.can_convert(tf.ConversionQuery(a, c, ctx))
+
+
+def test_relative_width_tolerance_on_large_composed_tables():
+    # Composed partition functions near 5e6 whose curve widths agree to 15
+    # digits; an absolute width tolerance rejected both queries.
+    ctx = tf.preset("helmholtz", beta=2.0)
+    src = tf.SystemSpec(4, (("H", [-3.56, -3.2, -2.0, 0.11]),))
+    tgt = tf.SystemSpec(3, (("H", [3.18, -3.93, -1.9]),))
+    source = tf.QuasiclassicalState(src, [0.018, 0.393, 0.325, 0.264])
+    assert tf.can_convert(tf.ConversionQuery(source, tf.gibbs_state(tgt, ctx), ctx))
+    src = tf.SystemSpec(3, (("H", [-2.71, 2.66, -3.79]),))
+    tgt = tf.SystemSpec(4, (("H", [-3.81, 0.14, 0.28, -0.33]),))
+    target = tf.QuasiclassicalState(tgt, [0.418, 0.205, 0.23, 0.147])
+    assert not tf.can_convert(tf.ConversionQuery(tf.gibbs_state(src, ctx), target, ctx))
+
+
+def cross_table_map(rng, g_src, g_tgt, steps):
+    """Random d_T x d_S stochastic M with M g_src = g_tgt.
+
+    Appends g_tgt, applies two-level partial swaps that fix g_src (x) g_tgt,
+    then traces out the source: every step is a free operation.
+    """
+    g = np.kron(g_src, g_tgt)
+    m = np.kron(np.eye(g_src.size), g_tgt.reshape(-1, 1))
+    for _ in range(steps):
+        i, j = rng.choice(g.size, size=2, replace=False)
+        a = float(rng.uniform(0.0, min(1.0, g[j] / g[i])))
+        b = a * g[i] / g[j]
+        mi, mj = m[i].copy(), m[j].copy()
+        m[i] = (1.0 - a) * mi + b * mj
+        m[j] = a * mi + (1.0 - b) * mj
+    return m.reshape(g_src.size, g_tgt.size, g_src.size).sum(axis=0)
+
+
+def cross_table_query(rng, d_src, d_tgt, kind):
+    """Query across two random tables: 0 reachable, 1 unreachable, 2 either."""
+    ctx = random_context(rng)
+    spec_src = random_spec(rng, d_src, ctx)
+    spec_tgt = random_spec(rng, d_tgt, ctx)
+    g_src = tf.gibbs_state(spec_src, ctx)
+    g_tgt = tf.gibbs_state(spec_tgt, ctx)
+    if kind == 1:
+        return tf.ConversionQuery(g_src, nonequilibrium_state(rng, spec_tgt, ctx), ctx)
+    source = random_state(rng, spec_src)
+    if kind == 2:
+        return tf.ConversionQuery(source, random_state(rng, spec_tgt), ctx)
+    m = cross_table_map(rng, g_src.r, g_tgt.r, steps=2 * d_src * d_tgt)
+    return tf.ConversionQuery(source, tf.QuasiclassicalState(spec_tgt, m @ source.r), ctx)
+
+
+def composed_lp(q):
+    """The LP over the composed table, in (d_S d_T)^2 variables: a reference.
+
+    Each side is padded with the other side's equilibrium state and the
+    square witness W must fix g_S (x) g_T and map r (x) g_T to g_S (x) s.
+    """
+    g_src = tf.gibbs_state(q.source.spec, q.ctx)
+    g_tgt = tf.gibbs_state(q.target.spec, q.ctx)
+    r = tf.compose(q.source, g_tgt).r
+    s = tf.compose(g_src, q.target).r
+    g = tf.compose(g_src, g_tgt).r
+    eye = np.eye(g.size)
+    A = np.vstack([np.tile(eye, g.size), np.kron(eye, g.reshape(1, -1)),
+                   np.kron(eye, r.reshape(1, -1))])
+    return A, np.concatenate([np.ones(g.size), g, s])
+
+
+def composed_feasible(q) -> bool:
+    A, b = composed_lp(q)
+    status, _, _ = solve_standard_lp(A, b, np.zeros(A.shape[1]))
+    return status != "infeasible"
+
+
+def composed_epsilon(q) -> float:
+    A, b = composed_lp(q)
+    d = q.source.dim * q.target.dim
+    slack = np.zeros((A.shape[0], 2 * d))
+    slack[-d:] = np.hstack([-np.eye(d), np.eye(d)])
+    c = np.concatenate([np.zeros(A.shape[1]), np.full(2 * d, 0.5)])
+    status, _, objective = solve_standard_lp(np.hstack([A, slack]), b, c)
+    assert status == "optimal"
+    return objective
+
+
+def test_cross_table_witness_is_a_lifted_composed_map():
+    rng = np.random.default_rng(139)
+    for trial in range(24):
+        d_src, d_tgt = (int(v) for v in rng.integers(2, 6, size=2))
+        q = cross_table_query(rng, d_src, d_tgt, kind=0)
+        witness = tf.feasibility_oracle(q)
+        assert witness is not None
+        w = witness.entries
+        assert w.shape == (d_src * d_tgt, d_src * d_tgt)
+        g_src = tf.gibbs_state(q.source.spec, q.ctx).r
+        g_tgt = tf.gibbs_state(q.target.spec, q.ctx).r
+        g = np.kron(g_src, g_tgt)
+        assert w.min() >= -1e-9 and w.max() <= 1 + 1e-9
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(w @ g, g, atol=1e-9)
+        np.testing.assert_allclose(w @ np.kron(q.source.r, g_tgt),
+                                   np.kron(g_src, q.target.r), atol=1e-9)
+
+
+def test_reduced_lp_matches_composed_lp_up_to_3x3():
+    rng = np.random.default_rng(149)
+    for trial in range(60):
+        d_src, d_tgt = (int(v) for v in rng.integers(2, 4, size=2))
+        q = cross_table_query(rng, d_src, d_tgt, kind=trial % 3)
+        assert (tf.feasibility_oracle(q) is not None) == composed_feasible(q)
+        assert tf.smallest_epsilon(q) == pytest.approx(composed_epsilon(q), abs=1e-9)
+
+
+def test_cross_table_oracles_agree_with_curves_up_to_12x12():
+    rng = np.random.default_rng(151)
+    start = time.perf_counter()
+    for trial in range(200):
+        d_src, d_tgt = (int(v) for v in rng.integers(2, 13, size=2))
+        kind = trial % 3
+        q = cross_table_query(rng, d_src, d_tgt, kind)
+        verdict = tf.can_convert(q)
+        if kind < 2:
+            assert verdict == (kind == 0)
+        assert (tf.feasibility_oracle(q) is not None) == verdict
+        assert (tf.smallest_epsilon(q) <= 1e-9) == verdict
+    assert time.perf_counter() - start < 30.0

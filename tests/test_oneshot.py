@@ -8,6 +8,7 @@ from thermoflow.errors import (
     EnergyRepresentation,
     EntropyRepresentation,
     EpsilonOutOfRange,
+    NormalizationError,
     TooLarge,
 )
 
@@ -109,6 +110,16 @@ def test_epsilon_one_rejected():
         tf.HypothesisTest([1.0], [1.0], 1.0)
     with pytest.raises(EpsilonOutOfRange):
         tf.HypothesisTest([1.0], [1.0], -0.2)
+
+
+def test_non_finite_probabilities_rejected():
+    for bad in ([math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0]):
+        with pytest.raises(NormalizationError):
+            tf.HypothesisTest(bad, [0.2, 0.3, 0.5], 0.1)
+        with pytest.raises(NormalizationError):
+            tf.HypothesisTest([0.2, 0.3, 0.5], bad, 0.1)
+        with pytest.raises(NormalizationError):
+            tf.relative_entropy(bad, [0.2, 0.3, 0.5])
 
 
 def test_entropies():

@@ -226,6 +226,13 @@ def test_state_normalization_window():
         tf.QuasiclassicalState(spec, [1.5, -0.5])
 
 
+def test_state_rejects_non_finite_probabilities():
+    spec = tf.SystemSpec(3)
+    for bad in ([math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [-math.inf, 0.5, 0.5]):
+        with pytest.raises(NormalizationError):
+            tf.QuasiclassicalState(spec, bad)
+
+
 def test_tensor_power_single_copy_is_identity():
     ctx = tf.preset("helmholtz", beta=1.0)
     spec = tf.SystemSpec(3, (("H", [0.0, 0.5, 1.0]),))
