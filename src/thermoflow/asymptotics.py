@@ -5,7 +5,7 @@ n-fold product is grouped into type classes (all permutations of one
 outcome count share their probability ratio), and the greedy hypothesis
 test consumes whole classes with at most one fractional class. Class
 totals are accumulated in log space, so n in the thousands is routine
-for small d.
+for small d. A whole delta grid takes one searchsorted over the classes.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import EpsilonOutOfRange, TargetIsEquilibrium
 from .oneshot import (
     W_COST_GRID_SIZE,
     _check_epsilon,
+    _delta_grid_lower,
     _require_energy,
     relative_entropy,
     shannon_entropy,
@@ -54,31 +55,31 @@ class _SortedClasses:
 
     def __init__(self, cs: CompressedState):
         ratio = cs.log_r - cs.log_g
+        # Zero-probability classes have ratio -inf and sort to the tail.
         order = np.argsort(-ratio, kind="stable")
         self.r_mass = cs.r_mass[order]
         self.cum_r = np.cumsum(self.r_mass)
         self.log_g_mass = (cs.log_mult + cs.log_g)[order]
         self.prefix_log_g = np.logaddexp.accumulate(self.log_g_mass)
-        # Zero-probability classes have ratio -inf and sort to the tail.
-        self.n_pos = int(np.count_nonzero(self.r_mass > 0.0))
 
     def log_b(self, need: float) -> float:
-        if self.n_pos == 0:
-            return -math.inf
-        total = self.cum_r[-1]
-        if need >= total:
-            # every class that carries probability must be accepted
-            return float(np.logaddexp.reduce(self.log_g_mass[self.r_mass > 0.0]))
-        k = int(np.searchsorted(self.cum_r, need, side="left"))
-        prev_r = self.cum_r[k - 1] if k > 0 else 0.0
-        prev_log_g = self.prefix_log_g[k - 1] if k > 0 else -math.inf
-        frac = min(max((need - prev_r) / self.r_mass[k], 0.0), 1.0)
-        if frac == 0.0:
-            return float(prev_log_g)
-        return float(np.logaddexp(prev_log_g, math.log(frac) + self.log_g_mass[k]))
+        return float(self.log_b_many(np.array([need]))[0])
 
     def log_b_many(self, needs: np.ndarray) -> np.ndarray:
-        return np.array([self.log_b(float(v)) for v in needs])
+        out = np.empty(needs.size)
+        exhausted = needs >= self.cum_r[-1]
+        if exhausted.any():
+            # every class that carries probability must be accepted
+            out[exhausted] = np.logaddexp.reduce(self.log_g_mass[self.r_mass > 0.0])
+        live = needs[~exhausted]
+        k = np.searchsorted(self.cum_r, live, side="left")
+        prev_r = np.where(k > 0, self.cum_r[k - 1], 0.0)
+        prev_log_g = np.where(k > 0, self.prefix_log_g[k - 1], -np.inf)
+        frac = np.clip((live - prev_r) / self.r_mass[k], 0.0, 1.0)
+        # libm's log, not numpy's SIMD one, which can differ in the last bit across CPUs
+        log_frac = np.array([-math.inf if f == 0.0 else math.log(f) for f in frac.tolist()])
+        out[~exhausted] = np.logaddexp(prev_log_g, log_frac + self.log_g_mass[k])
+        return out
 
 
 def compressed_d_h_epsilon(cs: CompressedState, epsilon: float) -> float:
@@ -152,9 +153,5 @@ def finite_n_gap(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
 
     gain = -classes.log_b(1.0 - epsilon) / beta + 0.0
     upper = (-classes.log_b(epsilon) - math.log((1.0 - epsilon) / epsilon)) / beta
-    top = 1.0 - epsilon
-    deltas = np.geomspace(top * 1e-12, top, grid_size)
-    deltas[-1] = top
-    objectives = (-classes.log_b_many(epsilon + deltas) + np.log(deltas)) / beta
-    lower = float(objectives.max())
+    lower = _delta_grid_lower(classes.log_b_many, epsilon, beta, grid_size)
     return gain, (lower, upper)

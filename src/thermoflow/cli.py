@@ -159,6 +159,8 @@ def _cmd_validate(args) -> int:
     if "r" not in data:
         raise ValueError("state descriptor lacks 'r'")
     r = np.array(data["r"], dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"{args.state}: 'r' must be finite")
     total = float(r.sum())
     nonnegative = bool(np.all(r >= -theory.NORMALIZATION_ATOL))
     normalized = abs(total - 1.0) <= theory.RENORMALIZE_ATOL
@@ -166,6 +168,9 @@ def _cmd_validate(args) -> int:
     fixed = True
     for entry in data.get("nonstate", ()):
         eig = np.array(entry["eigenvalues"], dtype=float)
+        if not np.all(np.isfinite(eig)):
+            raise ValueError(f"{args.state}: 'nonstate' eigenvalues of "
+                             f"{entry.get('label')!r} must be finite")
         values = eig[support]
         if values.size and not np.all(values == values[0]):
             fixed = False

@@ -194,6 +194,15 @@ def w_gain(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float) -> fl
     return d_h_epsilon(test) / ctx.beta
 
 
+def _delta_grid_lower(log_b_many, epsilon: float, beta: float, grid_size: int) -> float:
+    """max over the delta grid of (ln delta - ln b(eps + delta)) / beta."""
+    top = 1.0 - epsilon
+    deltas = np.geomspace(top * 1e-12, top, grid_size)
+    deltas[-1] = top
+    objectives = (-log_b_many(epsilon + deltas) + np.log(deltas)) / beta
+    return float(objectives.max())
+
+
 def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
                   grid_size: int = W_COST_GRID_SIZE) -> tuple[float, float]:
     """(lower, upper) bounds on the work needed to form the state.
@@ -216,12 +225,8 @@ def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float
     b_upper = float(_b_epsilon_many(r, g, np.array([epsilon]))[0])
     upper = (-math.log(b_upper) - math.log((1.0 - epsilon) / epsilon)) / ctx.beta
 
-    top = 1.0 - epsilon
-    deltas = np.geomspace(top * 1e-12, top, grid_size)
-    deltas[-1] = top
-    b_vals = _b_epsilon_many(r, g, epsilon + deltas)
-    objectives = (-np.log(b_vals) + np.log(deltas)) / ctx.beta
-    lower = float(objectives.max())
+    lower = _delta_grid_lower(lambda needs: np.log(_b_epsilon_many(r, g, needs)),
+                              epsilon, ctx.beta, grid_size)
     return lower, upper
 
 

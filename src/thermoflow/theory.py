@@ -9,7 +9,6 @@ operation is a pure function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -373,16 +372,18 @@ class CompressedState:
 
 
 def _compositions(n: int, d: int) -> np.ndarray:
-    """All length-d vectors of nonnegative integers summing to n."""
-    if d == 1:
-        return np.array([[n]], dtype=np.int64)
-    dividers = np.array(
-        list(itertools.combinations(range(n + d - 1), d - 1)), dtype=np.int64
-    )
-    first = dividers[:, :1]
-    inner = np.diff(dividers, axis=1) - 1
-    last = n + d - 2 - dividers[:, -1:]
-    return np.hstack([first, inner, last])
+    """All length-d vectors of nonnegative integers summing to n, in
+    ascending lexicographic order: the many-copy test's stable argsort
+    breaks ties between equal ratios in this order."""
+    rows = np.empty((1, 0), dtype=np.int64)
+    rest = np.array([n], dtype=np.int64)
+    for _ in range(d - 1):
+        counts = rest + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        value = np.arange(starts.size, dtype=np.int64) - starts
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), value])
+        rest = np.repeat(rest, counts) - value
+    return np.column_stack([rows, rest])
 
 
 def _masked_log_powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 import math
+import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import thermoflow as tf
+from thermoflow.asymptotics import _SortedClasses
 from thermoflow.errors import (
     EntropyRepresentation,
     EpsilonOutOfRange,
@@ -158,3 +161,65 @@ def test_finite_n_gap_costs_exceed_gains():
         gain, (lower, upper) = tf.finite_n_gap(state, ctx, 0.01, n)
         assert upper >= gain
         assert lower <= upper
+
+
+def reference_log_b(classes, need):
+    """The scalar per-threshold lookup that log_b_many replaced."""
+    if not np.any(classes.r_mass > 0.0):
+        return -math.inf
+    if need >= classes.cum_r[-1]:
+        return float(np.logaddexp.reduce(classes.log_g_mass[classes.r_mass > 0.0]))
+    k = int(np.searchsorted(classes.cum_r, need, side="left"))
+    prev_r = classes.cum_r[k - 1] if k > 0 else 0.0
+    prev_log_g = classes.prefix_log_g[k - 1] if k > 0 else -math.inf
+    frac = min(max((need - prev_r) / classes.r_mass[k], 0.0), 1.0)
+    if frac == 0.0:
+        return float(prev_log_g)
+    return float(np.logaddexp(prev_log_g, math.log(frac) + classes.log_g_mass[k]))
+
+
+def test_log_b_many_matches_scalar_lookup():
+    rng = np.random.default_rng(331)
+    ctx = tf.preset("helmholtz", beta=0.9)
+    cases = [([0.6, 0.4, 0.0], 7), ([0.0, 0.3, 0.7], 12), ([1.0], 5)]
+    for d, n in ((2, 40), (3, 9), (4, 6), (5, 4)):
+        cases.append((rng.dirichlet(np.ones(d)), n))
+    for r, n in cases:
+        spec = tf.SystemSpec(len(r), (("H", rng.uniform(-1, 1, len(r))),))
+        state = tf.QuasiclassicalState(spec, r)
+        classes = _SortedClasses(tf.tensor_power_compressed(state, ctx, n))
+        total = classes.cum_r[-1]
+        needs = np.concatenate([
+            [0.0, -0.25],  # k = 0 with a fraction of exactly 0
+            [total, np.nextafter(total, 0.0), 1.0, 1.5],  # at and past the total
+            classes.cum_r,  # class boundaries, the zero-mass tail included
+            np.nextafter(classes.cum_r, 2.0),
+            np.linspace(0.0, 1.0, 257),
+        ])
+        expected = np.array([reference_log_b(classes, float(v)) for v in needs])
+        np.testing.assert_array_equal(classes.log_b_many(needs), expected)
+        assert classes.log_b(0.5) == reference_log_b(classes, 0.5)
+        # an r with a zero entry gives classes of ratio -inf and no mass
+        assert np.any(classes.r_mass == 0.0) == (min(r) == 0.0)
+
+
+def test_compressed_d_h_matches_second_order_expansion():
+    # D_H^eps(r^n || g^n) = n D + sqrt(n V) Phi^-1(eps) + O(log n), with V the
+    # relative-entropy variance (Strassen 1962; Tomamichel & Hayashi,
+    # arXiv:1208.1478). d = 3 at n = 1400 is 982,101 classes, just under
+    # the cap; the time gate also catches a return to per-row Python objects.
+    rng = np.random.default_rng(337)
+    start = time.perf_counter()
+    for d, n in ((3, 1400), (3, 1400), (2, 4096), (2, 4096), (2, 4096)):
+        ctx = random_context(rng)
+        spec = random_spec(rng, d, ctx)
+        g = tf.gibbs_state(spec, ctx).r
+        r = 0.9 * rng.dirichlet(np.ones(d)) + 0.1 / d
+        eps = float(rng.uniform(0.05, 0.5))
+        log_ratio = np.log(r / g)
+        rel = float(r @ log_ratio)
+        var = float(r @ log_ratio ** 2) - rel ** 2
+        expansion = n * rel + math.sqrt(n * var) * NormalDist().inv_cdf(eps)
+        cs = tf.tensor_power_compressed(tf.QuasiclassicalState(spec, r), ctx, n)
+        assert abs(tf.compressed_d_h_epsilon(cs, eps) - expansion) <= math.log(n) + 5
+    assert time.perf_counter() - start < 20.0

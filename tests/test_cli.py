@@ -199,6 +199,25 @@ def test_validate_reports(tmp_path):
     assert not json.loads(result.stdout)["normalized"]
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_validate_non_finite_input_exits_2(tmp_path, bad):
+    for name, r, eigenvalues, field in (
+        ("r", f"[{bad}, 0.5, 0.5]", "[1.0, 1.0, 2.0]", "'r'"),
+        ("nonstate", "[0.5, 0.5, 0.0]", f"[1.0, {bad}, 2.0]", "'N'"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            '{"representation": "entropy", "intensive": [], "operators": [],'
+            f' "r": {r}, "nonstate": [{{"label": "N", "eigenvalues": {eigenvalues}}}]}}',
+            encoding="utf-8")
+        result = run_cli("validate", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert field in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_inline_context_flags(tmp_path):
     state = write_json(tmp_path / "bare.json", {
         "representation": "energy", "beta": 2.0, "intensive": [],

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -267,6 +268,32 @@ def test_tensor_power_cap():
     state = tf.QuasiclassicalState(tf.SystemSpec(4), [0.25] * 4)
     with pytest.raises(TooLarge):
         tf.tensor_power_compressed(state, ctx, 1000, max_classes=1000)
+
+
+def reference_compositions(n, d):
+    """The divider enumeration the numpy construction replaced."""
+    if d == 1:
+        return np.array([[n]], dtype=np.int64)
+    dividers = np.array(
+        list(itertools.combinations(range(n + d - 1), d - 1)), dtype=np.int64
+    )
+    first = dividers[:, :1]
+    inner = np.diff(dividers, axis=1) - 1
+    last = n + d - 2 - dividers[:, -1:]
+    return np.hstack([first, inner, last])
+
+
+def test_compositions_match_divider_enumeration():
+    from thermoflow.theory import _compositions
+
+    for d in range(1, 6):
+        for n in (1, 2, 3, 7, 16, 30):
+            got = _compositions(n, d)
+            expected = reference_compositions(n, d)
+            assert got.dtype == expected.dtype
+            # same rows in the same order: downstream tie-breaking relies on it
+            np.testing.assert_array_equal(got, expected)
+            assert got.shape[0] == math.comb(n + d - 1, d - 1)
 
 
 def test_fixed_eigensubspace_cases():
