@@ -45,7 +45,6 @@ from .theory import (
     compose,
     compose_specs,
     gibbs_state,
-    gibbs_weights,
     gravitational_chemical_potential,
     log_partition_function,
     make_context,

@@ -85,9 +85,16 @@ def _cmd_gibbs(args) -> int:
 def _cmd_lorenz(args) -> int:
     ctx, (state,) = _load_states(args, args.state)
     curve = lorenz.build_curve(state, ctx)
+    try:
+        width = curve.width
+    except OverflowError:
+        width = 0.0
+    if width == 0.0:
+        raise ValueError(f"{args.state}: partition function exp({curve.log_width!r}) "
+                         "is outside double range")
     if args.format == "json":
         payload = {"points": [[float(x), float(y)] for x, y in curve.points],
-                   "width": curve.width}
+                   "width": width}
         _write(args, stateio.dumps(payload))
     else:
         lines = ["x,y"]
@@ -158,22 +165,16 @@ def _cmd_validate(args) -> int:
         data = json.load(handle)
     if "r" not in data:
         raise ValueError("state descriptor lacks 'r'")
-    r = np.array(data["r"], dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError(f"{args.state}: 'r' must be finite")
+    r = theory._as_float_vector(data["r"], f"{args.state}: 'r'")
     total = float(r.sum())
     nonnegative = bool(np.all(r >= -theory.NORMALIZATION_ATOL))
     normalized = abs(total - 1.0) <= theory.RENORMALIZE_ATOL
-    support = r > theory.SUPPORT_ATOL
-    fixed = True
-    for entry in data.get("nonstate", ()):
-        eig = np.array(entry["eigenvalues"], dtype=float)
-        if not np.all(np.isfinite(eig)):
-            raise ValueError(f"{args.state}: 'nonstate' eigenvalues of "
-                             f"{entry.get('label')!r} must be finite")
-        values = eig[support]
-        if values.size and not np.all(values == values[0]):
-            fixed = False
+    eigenvalue_lists = [
+        theory._as_float_vector(entry["eigenvalues"], f"{args.state}: 'nonstate' "
+                                f"eigenvalues of {entry.get('label')!r}")
+        for entry in data.get("nonstate", ())
+    ]
+    fixed = theory.support_in_one_eigensubspace(r, eigenvalue_lists)
     payload = {
         "sum_r": total,
         "nonnegative": nonnegative,

@@ -1,26 +1,27 @@
-"""Rescaled Lorenz curves and curve domination.
+"""Rescaled Lorenz curves, curve domination, and the greedy test.
 
-A state's curve accumulates probability (y) against unnormalized
-equilibrium weight (x), with eigenstates visited in order of decreasing
-probability-to-weight ratio. The sort makes the curve concave, its width
-equals the partition function, and one curve lying nowhere below another
-decides convertibility between the underlying states.
+A curve accumulates probability r (y) against equilibrium probability g
+(u = x/Z, with ln Z kept beside it, so no gauge shift overflows) in order
+of decreasing r/g. It is concave, and one curve lying nowhere below
+another of the same width decides convertibility. Read backwards it is
+the optimal test of r against g: the least u reaching height 1 - epsilon
+is the Type II error b_epsilon (Brandao et al., arXiv:1305.5278).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomain, WidthMismatch
-from .theory import QuasiclassicalState, TheoryContext, gibbs_weights
+from .theory import QuasiclassicalState, TheoryContext, _equilibrium
 
 # Absolute tolerance for one curve dipping below another (curves are built
 # from unit-scale probabilities).
 DOMINATION_ATOL = 1e-12
-# Widths must agree this closely, relative to widths above 1, before curves
-# are comparable at all.
+# ln Z must agree this closely (relative on Z at every scale) to compare at all.
 WIDTH_ATOL = 1e-9
 # Dips within this band of the decision boundary get flagged as near ties.
 NEAR_TIE_BAND = 1e-10
@@ -28,26 +29,32 @@ NEAR_TIE_BAND = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LorenzCurve:
-    """Piecewise-linear curve through d+1 breakpoints from (0,0) to (Z,1)."""
+    """d+1 breakpoints from (0,0) to (1,1) on u, i.e. to (Z,1) on x = Z u."""
 
-    x: np.ndarray
+    u: np.ndarray
     y: np.ndarray
     source_order: np.ndarray
+    log_width: float
 
     def __post_init__(self):
-        for name in ("x", "y", "source_order"):
+        for name in ("u", "y", "source_order"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def width(self) -> float:
-        """Z, the total equilibrium weight."""
-        return float(self.x[-1])
+        """Z, the total equilibrium weight; OverflowError beyond double range."""
+        return math.exp(self.log_width)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Breakpoints on the unnormalized axis, Z u."""
+        return self.u * self.width
 
     @property
     def points(self) -> np.ndarray:
-        """Breakpoints as a (d+1, 2) array."""
+        """Breakpoints (x, y) as a (d+1, 2) array."""
         return np.column_stack([self.x, self.y])
 
 
@@ -55,7 +62,7 @@ class LorenzCurve:
 class DominationResult:
     """Outcome of a curve comparison.
 
-    ``min_margin`` is the worst value of A(x) - B(x) over the union of
+    ``min_margin`` is the worst value of A(u) - B(u) over the union of
     breakpoints. ``near_tie`` flags a dip so shallow (within 1e-10 of the
     boundary) that the verdict is sensitive to the tolerance choice.
     """
@@ -65,19 +72,35 @@ class DominationResult:
     near_tie: bool
 
 
-def build_curve(state: QuasiclassicalState, ctx: TheoryContext) -> LorenzCurve:
-    """Rescaled Lorenz curve of ``state`` under ``ctx``.
+def curve_of(r: np.ndarray, g: np.ndarray, log_width: float = 0.0) -> LorenzCurve:
+    """Curve of ``r`` over ``g`` by descending r/g: g = 0 goes first, and equal
+    ratios keep index order (the shape does not depend on tie order)."""
+    ratio = np.divide(r, g, out=np.full(r.size, np.inf), where=g > 0)
+    order = np.argsort(-ratio, kind="stable")
+    u = np.concatenate(([0.0], np.cumsum(g[order])))
+    y = np.concatenate(([0.0], np.cumsum(r[order])))
+    return LorenzCurve(u, y, order, log_width)
 
-    Indices are sorted by descending r / w where w is the unnormalized
-    equilibrium weight (unit weights in the entropy theory). Equal ratios
-    keep their original order; the curve shape does not depend on how
-    such ties are broken.
-    """
-    w = gibbs_weights(state.spec, ctx)
-    order = np.argsort(-(state.r / w), kind="stable")
-    x = np.concatenate(([0.0], np.cumsum(w[order])))
-    y = np.concatenate(([0.0], np.cumsum(state.r[order])))
-    return LorenzCurve(x, y, order)
+
+def build_curve(state: QuasiclassicalState, ctx: TheoryContext) -> LorenzCurve:
+    """Rescaled Lorenz curve of ``state`` over its equilibrium state."""
+    g, log_z = _equilibrium(state.spec, ctx)
+    return curve_of(state.r, g, log_z)
+
+
+def inverse(curve: LorenzCurve, r: np.ndarray, g: np.ndarray,
+            heights: np.ndarray) -> np.ndarray:
+    """Least u where the curve of (r, g) reaches each height: the greedy test's
+    Type II error, with steps read from r and g, not breakpoint differences."""
+    rs, gs = r[curve.source_order], g[curve.source_order]
+    out = np.empty(heights.size)
+    exhausted = heights >= curve.y[-1]
+    out[exhausted] = gs[rs > 0].sum()
+    live = heights[~exhausted]
+    k = np.searchsorted(curve.y[1:], live, side="left")
+    frac = np.clip((live - curve.y[k]) / rs[k], 0.0, 1.0)
+    out[~exhausted] = curve.u[k] + frac * gs[k]
+    return out
 
 
 def evaluate(curve: LorenzCurve, x: float) -> float:
@@ -92,13 +115,13 @@ def compare(a: LorenzCurve, b: LorenzCurve) -> DominationResult:
     """Does curve ``a`` stay on or above curve ``b``?
 
     Both curves are piecewise linear, so checking the union of their
-    breakpoints is sufficient.
+    breakpoints on the unit axis is sufficient.
     """
-    if abs(a.width - b.width) > WIDTH_ATOL * max(1.0, a.width, b.width):
-        raise WidthMismatch(f"curve widths differ: {a.width!r} vs {b.width!r}")
-    grid = np.union1d(a.x, b.x)
-    grid = np.clip(grid, 0.0, min(a.width, b.width))
-    margins = np.interp(grid, a.x, a.y) - np.interp(grid, b.x, b.y)
+    if abs(a.log_width - b.log_width) > WIDTH_ATOL:
+        raise WidthMismatch(f"curve widths differ: ln Z {a.log_width!r} vs {b.log_width!r}")
+    grid = np.union1d(a.u, b.u)
+    grid = np.clip(grid, 0.0, min(a.u[-1], b.u[-1]))
+    margins = np.interp(grid, a.u, a.y) - np.interp(grid, b.u, b.y)
     worst = float(margins.min())
     return DominationResult(
         dominates=worst >= -DOMINATION_ATOL,

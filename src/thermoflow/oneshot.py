@@ -3,7 +3,9 @@
 For commuting states the optimal hypothesis test is a fractional
 knapsack: sort eigenstates by how much evidence they carry (r/g), accept
 greedily until the required detection probability is reached, and pay
-the accumulated g-mass as the Type II error. Work extracted from or paid
+the accumulated g-mass as the Type II error. That sort and those sums
+are the Lorenz curve of (r, g) on the unit axis, so the test is the
+curve read backwards (``lorenz.inverse``). Work extracted from or paid
 to create one copy of a state follows from that error probability, in
 units of k_B T via the 1/beta prefactor.
 """
@@ -24,6 +26,7 @@ from .errors import (
     NormalizationError,
     TooLarge,
 )
+from .lorenz import curve_of, inverse
 from .theory import (
     ENTROPY,
     QuasiclassicalState,
@@ -74,45 +77,14 @@ class HypothesisTest:
         _check_epsilon(self.epsilon)
 
 
-def _greedy_order(r: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Descending r/g; zero-g entries carry their r-mass for free and go
-    # first; equal ratios keep index order (the optimum is tie-invariant).
-    ratio = np.full(r.size, np.inf)
-    mask = g > 0
-    ratio[mask] = r[mask] / g[mask]
-    return np.argsort(-ratio, kind="stable")
-
-
-def _b_epsilon_many(r: np.ndarray, g: np.ndarray, needs: np.ndarray) -> np.ndarray:
-    """Optimal Type II errors for several detection thresholds at once."""
-    order = _greedy_order(r, g)
-    rs, gs = r[order], g[order]
-    cum_r = np.cumsum(rs)
-    cum_g = np.cumsum(gs)
-    support_g = float(gs[rs > 0].sum())
-    total = cum_r[-1]
-
-    out = np.empty(needs.size)
-    exhausted = needs >= total
-    out[exhausted] = support_g
-    live = ~exhausted
-    if live.any():
-        k = np.searchsorted(cum_r, needs[live], side="left")
-        prev_r = np.where(k > 0, cum_r[np.maximum(k - 1, 0)], 0.0)
-        prev_g = np.where(k > 0, cum_g[np.maximum(k - 1, 0)], 0.0)
-        frac = np.clip((needs[live] - prev_r) / rs[k], 0.0, 1.0)
-        out[live] = prev_g + frac * gs[k]
-    return out
-
-
 def b_epsilon(test: HypothesisTest) -> float:
     """Least achievable Type II error probability.
 
     Exact optimum of the commuting-case program {0 <= q <= 1,
     sum q r >= 1 - epsilon, minimize sum q g}, reached greedily.
     """
-    needs = np.array([1.0 - test.epsilon])
-    return float(_b_epsilon_many(test.r, test.g, needs)[0])
+    curve = curve_of(test.r, test.g)
+    return float(inverse(curve, test.r, test.g, np.array([1.0 - test.epsilon]))[0])
 
 
 def d_h_epsilon(test: HypothesisTest) -> float:
@@ -220,12 +192,13 @@ def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float
     _check_epsilon(epsilon, lo_open=True)
     g = gibbs_state(state.spec, ctx).r
     r = state.r
+    curve = curve_of(r, g)
 
     # D_H^e needs detection threshold 1 - e; for e = 1 - eps that is eps.
-    b_upper = float(_b_epsilon_many(r, g, np.array([epsilon]))[0])
+    b_upper = float(inverse(curve, r, g, np.array([epsilon]))[0])
     upper = (-math.log(b_upper) - math.log((1.0 - epsilon) / epsilon)) / ctx.beta
 
-    lower = _delta_grid_lower(lambda needs: np.log(_b_epsilon_many(r, g, needs)),
+    lower = _delta_grid_lower(lambda needs: np.log(inverse(curve, r, g, needs)),
                               epsilon, ctx.beta, grid_size)
     return lower, upper
 

@@ -272,21 +272,18 @@ def equilibrium_exponents(spec: SystemSpec, ctx: TheoryContext) -> np.ndarray:
     return -(coeffs @ spec.operator_matrix())
 
 
-def gibbs_weights(spec: SystemSpec, ctx: TheoryContext) -> np.ndarray:
-    """Unnormalized equilibrium weights exp(-(F_0 x_0 + ...)).
-
-    These carry the absolute scale whose total is the partition function,
-    so no exponent shifting is applied; exponents beyond roughly +-700
-    will overflow or underflow in this linear-domain form.
-    """
-    return np.exp(equilibrium_exponents(spec, ctx))
+def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, float]:
+    """Equilibrium probabilities and ln Z from exponents shifted by their maximum."""
+    e = equilibrium_exponents(spec, ctx)
+    m = float(e.max())
+    w = np.exp(e - m)
+    total = w.sum()
+    return w / total, m + math.log(total)
 
 
 def log_partition_function(spec: SystemSpec, ctx: TheoryContext) -> float:
     """ln Z, computed with max-exponent shifting so extreme spectra stay finite."""
-    e = equilibrium_exponents(spec, ctx)
-    m = float(e.max())
-    return m + math.log(np.exp(e - m).sum())
+    return _equilibrium(spec, ctx)[1]
 
 
 def partition_function(spec: SystemSpec, ctx: TheoryContext) -> float:
@@ -301,9 +298,7 @@ def gibbs_state(spec: SystemSpec, ctx: TheoryContext) -> QuasiclassicalState:
     representation this reduces to the uniform vector. The result is
     strictly positive whenever the eigenvalues are finite.
     """
-    e = equilibrium_exponents(spec, ctx)
-    w = np.exp(e - e.max())
-    return QuasiclassicalState(spec, w / w.sum())
+    return QuasiclassicalState(spec, _equilibrium(spec, ctx)[0])
 
 
 def _combine_blocks(blocks_a, blocks_b, dim_a, dim_b):
@@ -425,12 +420,18 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
     )
 
 
-def validate_fixed_eigensubspace(state: QuasiclassicalState) -> bool:
-    """Whether the support sits in one shared eigensubspace of every
-    non-state operator. Vacuously true when there are none."""
-    support = state.r > SUPPORT_ATOL
-    for _, eig in state.spec.nonstate_blocks:
+def support_in_one_eigensubspace(r: np.ndarray, eigenvalue_lists) -> bool:
+    """Whether supp(r) sees a single eigenvalue of each list (true if none)."""
+    support = r > SUPPORT_ATOL
+    for eig in eigenvalue_lists:
         values = eig[support]
         if values.size and not np.all(values == values[0]):
             return False
     return True
+
+
+def validate_fixed_eigensubspace(state: QuasiclassicalState) -> bool:
+    """Whether the support sits in one shared eigensubspace of every
+    non-state operator. Vacuously true when there are none."""
+    return support_in_one_eigensubspace(
+        state.r, (eig for _, eig in state.spec.nonstate_blocks))

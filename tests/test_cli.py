@@ -152,6 +152,38 @@ def test_overflowing_partition_function_exits_2(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def helmholtz_state(tmp_path, name, energies, r):
+    return write_json(tmp_path / name, {
+        "representation": "energy", "beta": 1.0, "intensive": [],
+        "operators": [{"label": "H", "eigenvalues": energies}], "r": r,
+    })
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lorenz_outside_double_range_exits_2(tmp_path, fmt):
+    for energies in ([-800.0, -799.0, -798.0], [800.0, 801.0, 802.0]):
+        path = helmholtz_state(tmp_path, "far.json", energies, [0.7, 0.2, 0.1])
+        result = run_cli("lorenz", path, "--format", fmt)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: partition function")
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lorenz_with_an_unreachable_level_is_quiet(tmp_path, fmt):
+    # exp(-800) underflows to an equilibrium probability of exactly 0
+    path = helmholtz_state(tmp_path, "gap.json", [0.0, 800.0], [0.6, 0.4])
+    result = run_cli("lorenz", path, "--format", fmt)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    if fmt == "csv":
+        assert result.stdout == "x,y\n0,0\n0,0.40000000000000002\n1,1\n"
+    else:
+        assert json.loads(result.stdout) == {"points": [[0.0, 0.0], [0.0, 0.4], [1.0, 1.0]],
+                                             "width": 1.0}
+
+
 def test_nan_probabilities_exit_2(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(
@@ -216,6 +248,20 @@ def test_validate_non_finite_input_exits_2(tmp_path, bad):
         assert result.stderr.startswith("error:")
         assert field in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_validate_rejects_nested_vectors(tmp_path):
+    for field, r, eigenvalues in (("'r'", [[0.5, 0.5]], [1.0, 2.0]),
+                                  ("'nonstate'", [0.5, 0.5], [[1.0, 2.0]])):
+        path = write_json(tmp_path / "nested.json", {
+            "representation": "entropy", "intensive": [], "operators": [], "r": r,
+            "nonstate": [{"label": "N", "eigenvalues": eigenvalues}],
+        })
+        result = run_cli("validate", path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: {field}")
+        assert "one-dimensional" in result.stderr
 
 
 def test_inline_context_flags(tmp_path):

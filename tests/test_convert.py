@@ -323,3 +323,66 @@ def test_cross_table_oracles_agree_with_curves_up_to_12x12():
         assert (tf.feasibility_oracle(q) is not None) == verdict
         assert (tf.smallest_epsilon(q) <= 1e-9) == verdict
     assert time.perf_counter() - start < 30.0
+
+
+def shifted(state, c):
+    """``state`` with every state operator's spectrum shifted by c: a gauge."""
+    spec = state.spec
+    ops = tuple((label, eig + c) for label, eig in spec.operators)
+    return tf.QuasiclassicalState(tf.SystemSpec(spec.dim, ops, spec.nonstate_blocks), state.r)
+
+
+def assert_same_work(a, b, ctx, eps):
+    assert tf.w_gain(b, ctx, eps) == pytest.approx(tf.w_gain(a, ctx, eps), abs=1e-9)
+    np.testing.assert_allclose(tf.w_cost_bounds(b, ctx, eps), tf.w_cost_bounds(a, ctx, eps),
+                               rtol=0.0, atol=1e-9)
+
+
+def test_gauge_shift_changes_no_verdict_and_no_work():
+    rng = np.random.default_rng(163)
+    for trial in range(60):
+        if trial % 2:
+            q = cross_table_query(rng, *(int(v) for v in rng.integers(2, 9, size=2)), trial % 3)
+        else:
+            ctx = random_context(rng)
+            source = random_state(rng, random_spec(rng, int(rng.integers(2, 9)), ctx))
+            target = (random_state(rng, source.spec) if trial % 4
+                      else pushed_state(rng, source, ctx))
+            q = tf.ConversionQuery(source, target, ctx)
+        verdict = tf.can_convert(q)
+        for c in (800.0, -800.0, 50.0, -50.0, float(rng.uniform(-1000.0, 1000.0))):
+            moved = tf.ConversionQuery(shifted(q.source, c), shifted(q.target, c), q.ctx)
+            assert tf.can_convert(moved) == verdict
+            assert_same_work(q.source, moved.source, q.ctx, 0.05)
+
+
+def test_equilibrium_creates_nothing_at_a_shift_of_800():
+    ctx = tf.preset("helmholtz", beta=1.0)
+    for shift in (800.0, -800.0):
+        spec = tf.SystemSpec(3, (("H", [shift, shift + 1.0, shift + 2.0]),))
+        g = tf.gibbs_state(spec, ctx)
+        target = tf.QuasiclassicalState(spec, [0.7, 0.2, 0.1])
+        assert not tf.can_convert(tf.ConversionQuery(g, target, ctx))
+        assert tf.can_convert(tf.ConversionQuery(target, g, ctx))
+        assert tf.w_gain(g, ctx, 0.05) == pytest.approx(-np.log(0.95), abs=1e-12)
+
+
+def test_permutation_and_equilibrium_padding_change_nothing():
+    rng = np.random.default_rng(167)
+    for trial in range(40):
+        ctx = random_context(rng)
+        spec = random_spec(rng, int(rng.integers(2, 7)), ctx)
+        source = random_state(rng, spec)
+        target = random_state(rng, spec) if trial % 2 else pushed_state(rng, source, ctx)
+        verdict = tf.can_convert(tf.ConversionQuery(source, target, ctx))
+        perm = rng.permutation(spec.dim)
+        spec_p = tf.SystemSpec(spec.dim, tuple((lab, eig[perm]) for lab, eig in spec.operators))
+        source_p = tf.QuasiclassicalState(spec_p, source.r[perm])
+        target_p = tf.QuasiclassicalState(spec_p, target.r[perm])
+        assert tf.can_convert(tf.ConversionQuery(source_p, target_p, ctx)) == verdict
+        assert_same_work(source, source_p, ctx, 0.1)
+        pad = tf.gibbs_state(random_spec(rng, int(rng.integers(1, 4)), ctx), ctx)
+        padded = tf.compose(source, pad)
+        assert tf.can_convert(tf.ConversionQuery(padded, tf.compose(target, pad), ctx)) == verdict
+        assert tf.can_convert(tf.ConversionQuery(padded, target, ctx)) == verdict
+        assert_same_work(source, padded, ctx, 0.1)

@@ -5,6 +5,7 @@ import pytest
 
 import thermoflow as tf
 from thermoflow.errors import OutOfDomain, WidthMismatch
+from thermoflow.theory import equilibrium_exponents
 
 from conftest import random_context, random_spec, random_state
 
@@ -135,3 +136,64 @@ def test_near_tie_diagnostic():
 
     clear = tf.compare(base, tf.build_curve(tf.QuasiclassicalState(spec, [0.9, 0.1]), ctx))
     assert not clear.dominates and not clear.near_tie
+
+
+def linear_curve(state, ctx):
+    """(x, y) built on raw Boltzmann weights, sorted by r / w: a reference.
+
+    This is how curves were built before they moved to the unit axis; it
+    overflows or underflows once the exponents leave about +-700.
+    """
+    w = np.exp(equilibrium_exponents(state.spec, ctx))
+    order = np.argsort(-(state.r / w), kind="stable")
+    return (np.concatenate(([0.0], np.cumsum(w[order]))),
+            np.concatenate(([0.0], np.cumsum(state.r[order]))))
+
+
+def test_unit_axis_curve_matches_linear_reference():
+    rng = np.random.default_rng(37)
+    for trial in range(200):
+        ctx = tf.preset("entropy") if trial % 4 == 0 else random_context(rng)
+        spec = random_spec(rng, int(rng.integers(1, 13)), ctx)
+        state = random_state(rng, spec)
+        curve = tf.build_curve(state, ctx)
+        x, y = linear_curve(state, ctx)
+        assert np.array_equal(curve.y, y)
+        np.testing.assert_allclose(curve.x, x, rtol=1e-14, atol=0.0)
+        assert curve.width == pytest.approx(x[-1], rel=1e-14)
+
+
+def test_equilibrium_curve_lists_ties_in_index_order():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        ctx = random_context(rng)
+        spec = random_spec(rng, int(rng.integers(2, 13)), ctx)
+        curve = tf.build_curve(tf.gibbs_state(spec, ctx), ctx)
+        assert np.array_equal(curve.source_order, np.arange(spec.dim))
+
+
+def test_curve_survives_gauge_shift_of_800():
+    ctx = tf.preset("helmholtz", beta=1.0)
+    r = [0.7, 0.2, 0.1]
+    base = tf.build_curve(tf.QuasiclassicalState(tf.SystemSpec(3, (("H", [0.0, 1.0, 2.0]),)), r), ctx)
+    for shift in (800.0, -800.0):
+        spec = tf.SystemSpec(3, (("H", [shift, shift + 1.0, shift + 2.0]),))
+        curve = tf.build_curve(tf.QuasiclassicalState(spec, r), ctx)
+        np.testing.assert_allclose(curve.u, base.u, rtol=1e-12, atol=0.0)
+        assert np.array_equal(curve.y, base.y)
+        assert curve.log_width == pytest.approx(base.log_width - shift, rel=1e-12)
+        assert tf.dominates(curve, curve)
+    with pytest.raises(OverflowError):
+        curve.width  # Z = e^800 is beyond double range
+
+
+def test_width_check_is_relative_below_one():
+    # Widths near 1e-13 differ by far less than 1e-9 in absolute terms.
+    ctx = tf.preset("helmholtz", beta=1.0)
+    a = tf.build_curve(tf.QuasiclassicalState(tf.SystemSpec(2, (("H", [30.0, 31.0]),)),
+                                              [0.5, 0.5]), ctx)
+    b = tf.build_curve(tf.QuasiclassicalState(tf.SystemSpec(2, (("H", [29.0, 31.0]),)),
+                                              [0.5, 0.5]), ctx)
+    assert a.width < 1e-12 and b.width < 1e-12
+    with pytest.raises(WidthMismatch):
+        tf.compare(a, b)

@@ -11,6 +11,8 @@ from thermoflow.errors import (
     NormalizationError,
     TooLarge,
 )
+from thermoflow.lorenz import curve_of, inverse
+from thermoflow.oneshot import W_COST_GRID_SIZE, _delta_grid_lower
 
 from conftest import pushed_state, random_context, random_spec, random_state
 
@@ -280,3 +282,79 @@ def test_extractable_work_is_a_monotone():
         src = random_state(rng, spec)
         dst = pushed_state(rng, src, ctx)
         assert tf.w_gain(dst, ctx, 0.0) <= tf.w_gain(src, ctx, 0.0) + 1e-9
+
+
+def greedy_order(r, g):
+    """Descending r/g, zero-g entries first: the greedy test's own sort
+    from before it read the Lorenz curve backwards, kept as a reference."""
+    ratio = np.full(r.size, np.inf)
+    mask = g > 0
+    ratio[mask] = r[mask] / g[mask]
+    return np.argsort(-ratio, kind="stable")
+
+
+def greedy_b_many(r, g, needs):
+    """Optimal Type II errors at several thresholds: the reference greedy test."""
+    order = greedy_order(r, g)
+    rs, gs = r[order], g[order]
+    cum_r = np.cumsum(rs)
+    cum_g = np.cumsum(gs)
+    support_g = float(gs[rs > 0].sum())
+    out = np.empty(needs.size)
+    exhausted = needs >= cum_r[-1]
+    out[exhausted] = support_g
+    live = ~exhausted
+    if live.any():
+        k = np.searchsorted(cum_r, needs[live], side="left")
+        prev_r = np.where(k > 0, cum_r[np.maximum(k - 1, 0)], 0.0)
+        prev_g = np.where(k > 0, cum_g[np.maximum(k - 1, 0)], 0.0)
+        frac = np.clip((needs[live] - prev_r) / rs[k], 0.0, 1.0)
+        out[live] = prev_g + frac * gs[k]
+    return out
+
+
+def probability_pair(rng, d):
+    """(r, g) with zeros on either side, or r = g, for the greedy test."""
+    r = rng.dirichlet(np.full(d, float(rng.choice([0.3, 1.0, 3.0]))))
+    g = rng.dirichlet(np.ones(d))
+    kind = rng.integers(4)
+    if kind == 1 and d > 1:
+        r[rng.integers(d)] = 0.0
+    elif kind == 2 and d > 1:
+        g[rng.integers(d)] = 0.0
+    elif kind == 3:
+        r = g.copy()
+    return r / r.sum(), g / g.sum()
+
+
+def test_curve_read_backwards_is_the_reference_greedy_test():
+    rng = np.random.default_rng(251)
+    for _ in range(300):
+        r, g = probability_pair(rng, int(rng.integers(1, 13)))
+        curve = curve_of(r, g)
+        # interior thresholds, exact prefix sums, the top and beyond it
+        needs = np.concatenate([rng.uniform(0, 1, 16), np.cumsum(r[curve.source_order]),
+                                [1.0, 1.5]])
+        assert np.array_equal(inverse(curve, r, g, needs), greedy_b_many(r, g, needs))
+        for eps in (0.0, 0.05, float(rng.uniform(0, 1))):
+            test = tf.HypothesisTest(r, g, eps)
+            want = greedy_b_many(test.r, test.g, np.array([1.0 - eps]))[0]
+            assert tf.b_epsilon(test) == want
+
+
+def test_work_bounds_match_the_reference_greedy_test():
+    rng = np.random.default_rng(257)
+    for trial in range(60):
+        ctx = random_context(rng)
+        spec = random_spec(rng, int(rng.integers(1, 13)), ctx)
+        state = random_state(rng, spec) if trial % 4 else tf.gibbs_state(spec, ctx)
+        g = tf.gibbs_state(spec, ctx).r
+        eps = float(rng.uniform(0.01, 0.99))
+        upper = (-math.log(greedy_b_many(state.r, g, np.array([eps]))[0])
+                 - math.log((1.0 - eps) / eps)) / ctx.beta
+        lower = _delta_grid_lower(lambda needs: np.log(greedy_b_many(state.r, g, needs)),
+                                  eps, ctx.beta, W_COST_GRID_SIZE)
+        assert tf.w_cost_bounds(state, ctx, eps) == (lower, upper)
+        test = tf.HypothesisTest(state.r, g, eps)
+        gain = -math.log(greedy_b_many(test.r, test.g, np.array([1.0 - eps]))[0]) + 0.0
+        assert tf.w_gain(state, ctx, eps) == gain / ctx.beta
