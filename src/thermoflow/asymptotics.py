@@ -20,8 +20,8 @@ from .oneshot import (
     W_COST_GRID_SIZE,
     _check_epsilon,
     _delta_grid_lower,
+    _equilibrium_divergence,
     _require_energy,
-    relative_entropy,
     shannon_entropy,
 )
 from .theory import (
@@ -29,7 +29,6 @@ from .theory import (
     QuasiclassicalState,
     TheoryContext,
     _check_operator_count,
-    gibbs_state,
     log_partition_function,
     tensor_power_compressed,
 )
@@ -116,8 +115,7 @@ def aep_sweep(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
     """
     if not 0.0 < epsilon < 1.0:
         raise EpsilonOutOfRange(f"the sweep needs epsilon in (0, 1), got {epsilon!r}")
-    g = gibbs_state(state.spec, ctx)
-    limit = relative_entropy(state.r, g.r)
+    limit = _equilibrium_divergence(state, ctx)
     rows = []
     for n in sorted(int(n) for n in n_list):
         cs = tensor_power_compressed(state, ctx, n, max_classes)
@@ -131,8 +129,8 @@ def conversion_rate(source: QuasiclassicalState, target: QuasiclassicalState,
 
     D(r || g_R) / D(s || g_S); undefined when the target is equilibrium.
     """
-    d_source = relative_entropy(source.r, gibbs_state(source.spec, ctx).r)
-    d_target = relative_entropy(target.r, gibbs_state(target.spec, ctx).r)
+    d_source = _equilibrium_divergence(source, ctx)
+    d_target = _equilibrium_divergence(target, ctx)
     if d_target <= EQUILIBRIUM_ATOL:
         raise TargetIsEquilibrium("target state is equilibrium; the rate diverges")
     return d_source / d_target

@@ -7,6 +7,12 @@ with M g_S = g_T and M r = s (relative majorization of (r, g_S) over
 (s, g_T)): an LP in d_S*d_T variables that lives behind a size cap and
 exists to cross-check the curves, not to replace them. Across tables
 the witness is lifted to the composed system the curves compare on.
+
+The least trace distance from the target to a free image of the source is
+eps* = max(0, max_u [L_s(u) - L_r(u)]) on the unit axis. Data processing
+bounds it below: any image s' = M r has L_s' <= L_r, and the optimal test
+q for s at u gives L_s(u) - L_s'(u) <= (s - s').q <= (1/2)|s - s'|_1. The
+flattest state that close to s is an image (Renes 2016; Horodecki et al. 2018).
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ import numpy as np
 
 from .config import ORACLE_DIM_DEFAULT, oracle_dim_cap
 from .errors import ContextMismatch, TooLarge
-from .lorenz import build_curve, dominates
+from .lorenz import build_curve, compare, curve_of, dominates
 from .simplex import solve_standard_lp
-from .theory import QuasiclassicalState, TheoryContext, compose, gibbs_state
+from .theory import QuasiclassicalState, TheoryContext, _equilibrium, compose, gibbs_state
 
 WITNESS_ATOL = 1e-9
 
@@ -100,48 +106,29 @@ def can_convert(q: ConversionQuery) -> bool:
     return dominates(build_curve(left, q.ctx), build_curve(right, q.ctx))
 
 
-def _check_cap(q: ConversionQuery):
-    cap = oracle_dim_cap(ORACLE_DIM_DEFAULT)
-    if q.source.dim > cap or q.target.dim > cap:
-        raise TooLarge(
-            f"oracle capped at dimension {cap} per side, "
-            f"got {q.source.dim} and {q.target.dim}"
-        )
-
-
-def _transport_lp(q: ConversionQuery):
-    """(g_S, g_T, A, b) for the equality rows over the entries of M.
-
-    M is d_T x d_S, vectorized row-major. The rows are the d_S unit
-    column sums, then M g_S = g_T and M r = s (d_T rows each).
-    """
-    _check_query(q)
-    _check_cap(q)
-    r, s = q.source.r, q.target.r
-    g_src = gibbs_state(q.source.spec, q.ctx).r
-    g_tgt = gibbs_state(q.target.spec, q.ctx).r
-    eye = np.eye(s.size)
-    A = np.vstack([
-        np.tile(np.eye(r.size), s.size),          # sum_j m[j, k] = 1
-        np.kron(eye, g_src.reshape(1, -1)),       # sum_k g_S[k] m[j, k] = g_T[j]
-        np.kron(eye, r.reshape(1, -1)),           # sum_k r[k] m[j, k] = s[j]
-    ])
-    b = np.concatenate([np.ones(r.size), g_tgt, s])
-    return g_src, g_tgt, A, b
-
-
 def feasibility_oracle(q: ConversionQuery):
     """Witness matrix for the conversion, or None when infeasible.
 
     Solves {M >= 0, columns sum to 1, M g_S = g_T, M r = s} with the
-    dense phase-1 simplex over the d_T*d_S entries of M, and must agree
-    with ``can_convert`` on every instance. Over one table the witness
-    is M itself. Across tables M is lifted to the composed witness
+    dense phase-1 simplex over the d_T*d_S entries of M (row-major), and
+    must agree with ``can_convert`` on every instance. Over one table the
+    witness is M itself. Across tables M is lifted to the composed witness
     W[(i, j), (k, l)] = g_S[i] M[j, k], i.e. x -> g_S (x) M(tr_T x),
     which fixes g_S (x) g_T and maps r (x) g_T to g_S (x) s.
     """
-    g_src, g_tgt, A, b = _transport_lp(q)
+    _check_query(q)
+    cap = oracle_dim_cap(ORACLE_DIM_DEFAULT)
+    if q.source.dim > cap or q.target.dim > cap:
+        raise TooLarge(f"oracle capped at dimension {cap} per side, "
+                       f"got {q.source.dim} and {q.target.dim}")
     r, s = q.source.r, q.target.r
+    g_src = gibbs_state(q.source.spec, q.ctx).r
+    g_tgt = gibbs_state(q.target.spec, q.ctx).r
+    eye = np.eye(s.size)
+    A = np.vstack([np.tile(np.eye(r.size), s.size),     # sum_j m[j, k] = 1
+                   np.kron(eye, g_src.reshape(1, -1)),  # sum_k g_S[k] m[j, k] = g_T[j]
+                   np.kron(eye, r.reshape(1, -1))])     # sum_k r[k] m[j, k] = s[j]
+    b = np.concatenate([np.ones(r.size), g_tgt, s])
     status, x, _ = solve_standard_lp(A, b, np.zeros(A.shape[1]))
     if status == "infeasible":
         return None
@@ -162,19 +149,11 @@ def feasibility_oracle(q: ConversionQuery):
 def smallest_epsilon(q: ConversionQuery) -> float:
     """Least trace distance to the target over all free images of the source.
 
-    Minimizes (1/2) || M r - s ||_1 over d_T x d_S matrices M >= 0 with
-    unit column sums and M g_S = g_T. Zero exactly when the conversion
-    is possible. Across tables this is also the composed optimum: the
-    lifted witness of any M lies at the same distance, and tracing S out
-    of any composed map gives an M that is no farther.
+    The module docstring's eps*, exactly 0.0 whenever the curves decide the
+    conversion possible. Across tables each composed curve is the same
+    curve with every segment split d_T ways, so nothing is composed.
     """
-    _, _, A, b = _transport_lp(q)
-    # Variables: the entries of M, then u, v >= 0 with M r - s = u - v.
-    d = q.target.dim
-    slack = np.zeros((A.shape[0], 2 * d))
-    slack[-d:] = np.hstack([-np.eye(d), np.eye(d)])
-    c = np.concatenate([np.zeros(A.shape[1]), np.full(2 * d, 0.5)])
-    status, _, objective = solve_standard_lp(np.hstack([A, slack]), b, c)
-    if status != "optimal":
-        raise ArithmeticError(f"distance LP ended {status}; it is feasible by construction")
-    return float(min(max(objective, 0.0), 1.0))
+    _check_query(q)
+    result = compare(curve_of(q.source.r, _equilibrium(q.source.spec, q.ctx)[0]),
+                     curve_of(q.target.r, _equilibrium(q.target.spec, q.ctx)[0]))
+    return 0.0 if result.dominates else min(-result.min_margin, 1.0)

@@ -75,7 +75,8 @@ class DominationResult:
 def curve_of(r: np.ndarray, g: np.ndarray, log_width: float = 0.0) -> LorenzCurve:
     """Curve of ``r`` over ``g`` by descending r/g: g = 0 goes first, and equal
     ratios keep index order (the shape does not depend on tie order)."""
-    ratio = np.divide(r, g, out=np.full(r.size, np.inf), where=g > 0)
+    with np.errstate(over="ignore"):  # a subnormal g gives r/g = inf, which sorts right
+        ratio = np.divide(r, g, out=np.full(r.size, np.inf), where=g > 0)
     order = np.argsort(-ratio, kind="stable")
     u = np.concatenate(([0.0], np.cumsum(g[order])))
     y = np.concatenate(([0.0], np.cumsum(r[order])))

@@ -33,6 +33,7 @@ from .theory import (
     RENORMALIZE_ATOL,
     SystemSpec,
     TheoryContext,
+    _log_equilibrium,
     gibbs_state,
 )
 
@@ -143,7 +144,19 @@ def relative_entropy(r, g) -> float:
     pos = rv > 0
     if np.any(gv[pos] == 0.0):
         return math.inf
-    return float((rv[pos] * (np.log(rv[pos]) - np.log(gv[pos]))).sum())
+    return _divergence(rv[pos], np.log(gv[pos]))
+
+
+def _divergence(r: np.ndarray, log_g: np.ndarray) -> float:
+    """sum r (ln r - ln g) over entries with r > 0."""
+    return float((r * (np.log(r) - log_g)).sum())
+
+
+def _equilibrium_divergence(state: QuasiclassicalState, ctx: TheoryContext) -> float:
+    """``relative_entropy`` of r from its own equilibrium state, finite across any gap."""
+    r = _normalized(state.r, "r")
+    g = _normalized(gibbs_state(state.spec, ctx).r, "g")
+    return _divergence(r[r > 0], _log_equilibrium(state.spec, ctx, g)[r > 0])
 
 
 def _require_energy(ctx: TheoryContext):

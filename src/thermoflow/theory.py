@@ -78,13 +78,17 @@ class TheoryContext:
                 raise IntensivesInEntropyTheory(
                     "the entropy theory admits neither beta nor intensive values"
                 )
-            return
-        if self.beta is None or not math.isfinite(self.beta) or self.beta <= 0:
-            raise NonPositiveBeta(f"beta must be finite and positive, got {self.beta}")
-        object.__setattr__(self, "beta", float(self.beta))
-        for label, value in pairs:
-            if not math.isfinite(value):
-                raise ValueError(f"intensive value {label!r} must be finite")
+            coeffs = np.zeros(0)
+        else:
+            if self.beta is None or not math.isfinite(self.beta) or self.beta <= 0:
+                raise NonPositiveBeta(f"beta must be finite and positive, got {self.beta}")
+            object.__setattr__(self, "beta", float(self.beta))
+            for label, value in pairs:
+                if not math.isfinite(value):
+                    raise ValueError(f"intensive value {label!r} must be finite")
+            coeffs = np.concatenate(([self.beta], -self.beta * np.array([v for _, v in pairs])))
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @property
     def temperature(self) -> float:
@@ -104,12 +108,9 @@ class TheoryContext:
         """Derived coefficients (F_0, ..., F_j) = (beta, -beta p_1, ...).
 
         Empty in the entropy representation, where every equilibrium
-        exponent is zero.
+        exponent is zero. Built once per context and read-only.
         """
-        if self.representation == ENTROPY:
-            return np.zeros(0)
-        values = np.array([v for _, v in self.intensive])
-        return np.concatenate(([self.beta], -self.beta * values))
+        return self._coeffs
 
 
 def make_context(representation: str, beta=None, intensive=()) -> TheoryContext:
@@ -210,6 +211,9 @@ class SystemSpec:
                     )
                 checked.append((str(label), arr))
             object.__setattr__(self, name, tuple(checked))
+        table = np.array([eig for _, eig in self.operators], dtype=float).reshape(-1, self.dim)
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @property
     def labels(self) -> tuple:
@@ -220,10 +224,8 @@ class SystemSpec:
         return tuple(label for label, _ in self.nonstate_blocks)
 
     def operator_matrix(self) -> np.ndarray:
-        """Eigenvalue table stacked as an (n_operators, dim) array."""
-        if not self.operators:
-            return np.zeros((0, self.dim))
-        return np.stack([eig for _, eig in self.operators])
+        """Eigenvalue table stacked as an (n_operators, dim) array (read-only)."""
+        return self._table
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,6 +281,13 @@ def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, floa
     w = np.exp(e - m)
     total = w.sum()
     return w / total, m + math.log(total)
+
+
+def _log_equilibrium(spec: SystemSpec, ctx: TheoryContext, g: np.ndarray) -> np.ndarray:
+    """ln g: np.log(g) where g is a normal double, exponent - ln Z where it underflows."""
+    normal = g >= np.finfo(float).tiny
+    exact = equilibrium_exponents(spec, ctx) - log_partition_function(spec, ctx)
+    return np.where(normal, np.log(np.where(normal, g, 1.0)), exact)
 
 
 def log_partition_function(spec: SystemSpec, ctx: TheoryContext) -> float:
@@ -411,12 +420,11 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
     k = _compositions(n, d)
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
     log_mult = logfact[n] - logfact[k].sum(axis=1)
-    g = gibbs_state(state.spec, ctx).r
     return CompressedState(
         n=n,
         log_mult=log_mult,
         log_r=_masked_log_powers(state.r, k),
-        log_g=_masked_log_powers(g, k),
+        log_g=k @ _log_equilibrium(state.spec, ctx, gibbs_state(state.spec, ctx).r),
     )
 
 

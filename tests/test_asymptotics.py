@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from statistics import NormalDist
@@ -223,3 +224,40 @@ def test_compressed_d_h_matches_second_order_expansion():
         cs = tf.tensor_power_compressed(tf.QuasiclassicalState(spec, r), ctx, n)
         assert abs(tf.compressed_d_h_epsilon(cs, eps) - expansion) <= math.log(n) + 5
     assert time.perf_counter() - start < 20.0
+
+
+def brute_force_per_copy_dh(r, log_g, n, epsilon):
+    """Per-copy D_H^epsilon of the n-fold product over all d^n sequences, with
+    the greedy test run in the log domain so no g underflows."""
+    seqs = np.array(list(itertools.product(range(r.size), repeat=n)))
+    log_r = np.log(r)[seqs].sum(axis=1)
+    log_gs = log_g[seqs].sum(axis=1)
+    order = np.argsort(-(log_r - log_gs), kind="stable")
+    need, log_b = 1.0 - epsilon, -math.inf
+    for k in order:
+        p = math.exp(log_r[k])
+        if p >= need:
+            return -np.logaddexp(log_b, math.log(need / p) + log_gs[k]) / n
+        need -= p
+        log_b = np.logaddexp(log_b, log_gs[k])
+    raise AssertionError("threshold not reached")
+
+
+@pytest.mark.parametrize("energies, r, n_list", [
+    ([0.0, 800.0], [0.6, 0.4], (3, 10)),
+    ([0.0, 5.0, 900.0], [0.5, 0.3, 0.2], (2, 6)),
+])
+def test_aep_and_rate_across_a_gap_that_underflows_g(energies, r, n_list):
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = tf.SystemSpec(len(r), (("H", energies),))
+    state = tf.QuasiclassicalState(spec, r)
+    exponents = -np.array(energies)
+    log_g = exponents - np.logaddexp.reduce(exponents)
+    assert tf.gibbs_state(spec, ctx).r.min() == 0.0
+    sweep = tf.aep_sweep(state, ctx, 0.1, n_list)
+    assert sweep.limit == pytest.approx(float((state.r * (np.log(state.r) - log_g)).sum()),
+                                        rel=1e-12)
+    for n, per_copy in sweep.rows:
+        assert per_copy == pytest.approx(brute_force_per_copy_dh(state.r, log_g, n, 0.1),
+                                         rel=1e-9)
+    assert tf.conversion_rate(state, state, ctx) == 1.0

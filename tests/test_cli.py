@@ -184,6 +184,34 @@ def test_lorenz_with_an_unreachable_level_is_quiet(tmp_path, fmt):
                                              "width": 1.0}
 
 
+def strict_json(text):
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_subnormal_equilibrium_probability_leaves_stderr_empty(tmp_path):
+    # exp(-740) is subnormal, so r/g overflows to inf inside the curve sort
+    path = helmholtz_state(tmp_path, "gap740.json", [0.0, 740.0], [0.6, 0.4])
+    for args in (("lorenz", path), ("work", path, "--epsilon", "0.05"),
+                 ("convert", path, path)):
+        result = run_cli(*args)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
+
+def test_rate_and_aep_across_a_gap_that_underflows_g(tmp_path):
+    path = helmholtz_state(tmp_path, "gap.json", [0.0, 800.0], [0.6, 0.4])
+    result = run_cli("rate", path, path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+    result = run_cli("aep", path, "--epsilon", "0.1", "--n", "3,10", "--format", "json")
+    assert result.returncode == 0
+    payload = strict_json(result.stdout)
+    assert payload["limit"] == pytest.approx(319.327, abs=1e-3)
+    assert [n for n, _ in payload["rows"]] == [3, 10]
+    assert all(math.isfinite(value) for _, value in payload["rows"])
+
+
 def test_nan_probabilities_exit_2(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(

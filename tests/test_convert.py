@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -386,3 +387,206 @@ def test_permutation_and_equilibrium_padding_change_nothing():
         assert tf.can_convert(tf.ConversionQuery(padded, tf.compose(target, pad), ctx)) == verdict
         assert tf.can_convert(tf.ConversionQuery(padded, target, ctx)) == verdict
         assert_same_work(source, padded, ctx, 0.1)
+
+
+def transport_rows(q):
+    """Equality rows over the entries of M (d_T x d_S, row-major): unit column
+    sums, M g_S = g_T and M r = s."""
+    r, s = q.source.r, q.target.r
+    g_src = tf.gibbs_state(q.source.spec, q.ctx).r
+    g_tgt = tf.gibbs_state(q.target.spec, q.ctx).r
+    eye = np.eye(s.size)
+    A = np.vstack([np.tile(np.eye(r.size), s.size), np.kron(eye, g_src.reshape(1, -1)),
+                   np.kron(eye, r.reshape(1, -1))])
+    return A, np.concatenate([np.ones(r.size), g_tgt, s])
+
+
+def distance_lp(q) -> float:
+    """min (1/2)|M r - s|_1 over free d_T x d_S maps M, with the dense simplex:
+    the reference the closed form replaced. Slack columns u, v >= 0 carry
+    M r - s = u - v."""
+    A, b = transport_rows(q)
+    d = q.target.dim
+    slack = np.zeros((A.shape[0], 2 * d))
+    slack[-d:] = np.hstack([-np.eye(d), np.eye(d)])
+    c = np.concatenate([np.zeros(A.shape[1]), np.full(2 * d, 0.5)])
+    status, _, objective = solve_standard_lp(np.hstack([A, slack]), b, c)
+    assert status == "optimal"
+    return float(min(max(objective, 0.0), 1.0))
+
+
+def highs_distance(q):
+    """The distance LP solved by HiGHS: (optimum, M). The M g_S = g_T rows are
+    divided by g_T, so a small g is not lost in HiGHS's absolute tolerance."""
+    optimize = pytest.importorskip("scipy.optimize")
+    A, b = transport_rows(q)
+    d_src, d_tgt = q.source.dim, q.target.dim
+    g_tgt = b[d_src:d_src + d_tgt]
+    A[d_src:d_src + d_tgt] /= g_tgt[:, None]
+    b[d_src:d_src + d_tgt] = 1.0
+    slack = np.zeros((A.shape[0], 2 * d_tgt))
+    slack[-d_tgt:] = np.hstack([-np.eye(d_tgt), np.eye(d_tgt)])
+    c = np.concatenate([np.zeros(A.shape[1]), np.full(2 * d_tgt, 0.5)])
+    res = optimize.linprog(c, A_eq=np.hstack([A, slack]), b_eq=b, bounds=(0, None),
+                           method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                                    "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun, res.x[:d_src * d_tgt].reshape(d_tgt, d_src)
+
+
+def with_zeros(rng, state):
+    """``state`` with about a third of its entries set to exactly 0 (at least one kept)."""
+    r = state.r.copy()
+    r[rng.random(r.size) < 0.3] = 0.0
+    if r.sum() == 0.0:
+        r[int(rng.integers(r.size))] = 1.0
+    return tf.QuasiclassicalState(state.spec, r / r.sum())
+
+
+def epsilon_query(rng, trial, max_dim=12, ctx=None):
+    """Same-table (even trials) or cross-table query up to max_dim per side:
+    reachable, random, or mixed toward the target's equilibrium state, and
+    with exact zeros in a third of the states. Drawn vectors are mixed with
+    10 % uniform first, since entries near 1e-6 throw off the dense simplex
+    by up to 6e-6, and the simplex is the reference here."""
+    ctx = random_context(rng) if ctx is None else ctx
+    d_src, d_tgt = (int(v) for v in rng.integers(2, max_dim + 1, size=2))
+    spec_src = random_spec(rng, d_src, ctx)
+    spec_tgt = spec_src if trial % 2 == 0 else random_spec(rng, d_tgt, ctx)
+
+    def draw(spec):
+        r = 0.9 * rng.dirichlet(np.ones(spec.dim)) + 0.1 / spec.dim
+        return tf.QuasiclassicalState(spec, r)
+
+    source = draw(spec_src)
+    kind = rng.integers(3)
+    if kind == 0 and spec_tgt is spec_src:
+        target = pushed_state(rng, source, ctx, steps=spec_src.dim)
+    elif kind == 0:
+        m = cross_table_map(rng, tf.gibbs_state(spec_src, ctx).r,
+                            tf.gibbs_state(spec_tgt, ctx).r, steps=2 * d_src * d_tgt)
+        target = tf.QuasiclassicalState(spec_tgt, m @ source.r)
+    else:
+        target = draw(spec_tgt)
+        if kind == 2:
+            g = tf.gibbs_state(spec_tgt, ctx).r
+            target = tf.QuasiclassicalState(spec_tgt, 0.5 * target.r + 0.5 * g)
+    if rng.random() < 1 / 3:
+        source = with_zeros(rng, source)
+    if rng.random() < 1 / 3 and kind != 0:
+        target = with_zeros(rng, target)
+    return tf.ConversionQuery(source, target, ctx)
+
+
+def test_closed_form_matches_distance_lp_on_500_queries():
+    rng = np.random.default_rng(173)
+    for trial in range(500):
+        q = epsilon_query(rng, trial)
+        assert tf.smallest_epsilon(q) == pytest.approx(distance_lp(q), abs=1e-9)
+
+
+def test_closed_form_matches_highs_at_three_temperatures():
+    rng = np.random.default_rng(179)
+    for trial in range(240):
+        ctx = tf.preset("helmholtz", beta=(0.2, 1.0, 3.0)[trial % 3])
+        q = epsilon_query(rng, trial // 3, ctx=ctx)
+        optimum, _ = highs_distance(q)
+        assert tf.smallest_epsilon(q) == pytest.approx(optimum, abs=1e-9)
+
+
+def test_nearest_reachable_target_lies_at_epsilon():
+    rng = np.random.default_rng(181)
+    for trial in range(120):
+        q = epsilon_query(rng, trial)
+        eps = tf.smallest_epsilon(q)
+        _, m = highs_distance(q)
+        nearest = m @ q.source.r
+        assert 0.5 * np.abs(nearest - q.target.r).sum() == pytest.approx(eps, abs=1e-9)
+        reached = tf.QuasiclassicalState(q.target.spec, np.clip(nearest, 0.0, None))
+        assert tf.can_convert(tf.ConversionQuery(q.source, reached, q.ctx))
+
+
+def rescaled(state, lam):
+    """``state`` with every state operator's spectrum multiplied by lam."""
+    spec = state.spec
+    ops = tuple((label, lam * eig) for label, eig in spec.operators)
+    return tf.QuasiclassicalState(tf.SystemSpec(spec.dim, ops), state.r)
+
+
+def test_epsilon_invariant_under_gauge_permutation_padding_and_scale():
+    rng = np.random.default_rng(191)
+    for trial in range(60):
+        q = epsilon_query(rng, trial, max_dim=8)
+        eps = tf.smallest_epsilon(q)
+        for c in (800.0, -800.0):
+            moved = tf.ConversionQuery(shifted(q.source, c), shifted(q.target, c), q.ctx)
+            assert tf.smallest_epsilon(moved) == pytest.approx(eps, abs=1e-9)
+        perm = rng.permutation(q.source.dim)
+        spec = q.source.spec
+        spec_p = tf.SystemSpec(spec.dim, tuple((lab, eig[perm]) for lab, eig in spec.operators))
+        source_p = tf.QuasiclassicalState(spec_p, q.source.r[perm])
+        permuted = tf.smallest_epsilon(tf.ConversionQuery(source_p, q.target, q.ctx))
+        assert permuted == pytest.approx(eps, abs=1e-12)
+        pad = tf.gibbs_state(random_spec(rng, int(rng.integers(1, 4)), q.ctx), q.ctx)
+        for source, target in ((tf.compose(q.source, pad), q.target),
+                               (q.source, tf.compose(q.target, pad))):
+            padded = tf.smallest_epsilon(tf.ConversionQuery(source, target, q.ctx))
+            assert padded == pytest.approx(eps, abs=1e-9)
+        lam = float(rng.uniform(0.1, 10.0))
+        ctx = tf.make_context("energy", q.ctx.beta / lam, q.ctx.intensive)
+        scaled = tf.ConversionQuery(rescaled(q.source, lam), rescaled(q.target, lam), ctx)
+        assert tf.smallest_epsilon(scaled) == pytest.approx(eps, abs=1e-9)
+
+
+def test_epsilon_is_exactly_zero_when_convertible():
+    rng = np.random.default_rng(193)
+    verdicts = []
+    for trial in range(400):
+        q = epsilon_query(rng, trial)
+        verdict = tf.can_convert(q)
+        assert (tf.smallest_epsilon(q) == 0.0) == verdict
+        verdicts.append(verdict)
+    assert 100 < sum(verdicts) < 300
+
+
+def test_reachable_target_at_beta_3_has_epsilon_zero():
+    # The dense simplex returned 0.0395 for this reachable target, whose
+    # equilibrium probabilities go down to 4e-10.
+    ctx = tf.preset("helmholtz", beta=3.0)
+    rng = np.random.default_rng(118)
+    d = int(rng.integers(3, 13))
+    spec = random_spec(rng, d, ctx, spread=4.0)
+    source = random_state(rng, spec)
+    q = tf.ConversionQuery(source, pushed_state(rng, source, ctx, steps=2 * d), ctx)
+    assert tf.gibbs_state(spec, ctx).r.min() < 1e-9
+    assert tf.can_convert(q)
+    assert tf.smallest_epsilon(q) == 0.0
+
+
+def test_smallest_epsilon_needs_no_simplex_and_no_size_cap(monkeypatch):
+    from thermoflow import convert
+
+    def refuse(*args):
+        raise AssertionError("smallest_epsilon called the simplex")
+
+    monkeypatch.setattr(convert, "solve_standard_lp", refuse)
+    rng = np.random.default_rng(197)
+    for trial in range(20):
+        q = epsilon_query(rng, trial)
+        assert 0.0 <= tf.smallest_epsilon(q) <= 1.0
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = random_spec(rng, 40, ctx)
+    q = tf.ConversionQuery(tf.gibbs_state(spec, ctx), nonequilibrium_state(rng, spec, ctx), ctx)
+    assert 0.0 < tf.smallest_epsilon(q) <= 1.0
+    assert tf.smallest_epsilon(tf.ConversionQuery(q.target, q.source, ctx)) == 0.0
+
+
+def test_smallest_epsilon_silent_on_a_subnormal_equilibrium_probability():
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = tf.SystemSpec(2, (("H", [0.0, 740.0]),))
+    state = tf.QuasiclassicalState(spec, [0.6, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tf.smallest_epsilon(tf.ConversionQuery(state, state, ctx)) == 0.0
+        eps = tf.smallest_epsilon(tf.ConversionQuery(tf.gibbs_state(spec, ctx), state, ctx))
+    assert eps == pytest.approx(0.4, abs=1e-12)

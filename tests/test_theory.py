@@ -307,3 +307,17 @@ def test_fixed_eigensubspace_cases():
     # no non-state blocks: vacuously true
     plain = tf.QuasiclassicalState(tf.SystemSpec(2), [0.5, 0.5])
     assert tf.validate_fixed_eigensubspace(plain)
+
+
+def test_equilibrium_coefficients_are_built_once_and_read_only():
+    ctx = tf.preset("grand_potential", beta=2.0, mu=[0.5, -0.25])
+    spec = tf.SystemSpec(3, (("H", [0.0, 1.0, 2.0]), ("N1", [1.0, 0.0, 2.0]),
+                             ("N2", [0.0, 3.0, 1.0])))
+    for built, fresh in ((ctx.entropy_intensives(), [2.0, -1.0, 0.5]),
+                         (spec.operator_matrix(), [eig for _, eig in spec.operators])):
+        np.testing.assert_array_equal(built, fresh)
+        assert not built.flags.writeable
+    assert ctx.entropy_intensives() is ctx.entropy_intensives()
+    assert spec.operator_matrix() is spec.operator_matrix()
+    assert ctx == tf.preset("grand_potential", beta=2.0, mu=[0.5, -0.25])
+    assert tf.preset("entropy").entropy_intensives().size == 0
