@@ -160,21 +160,31 @@ def _cmd_aep(args) -> int:
     return 0
 
 
+def _spectra(path, data, field):
+    """(label, eigenvalues) pairs under ``field``, each finite and one-dimensional."""
+    entries = data.get(field, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{path}: {field!r} must be a list of objects")
+    return tuple(
+        (entry["label"], theory._as_float_vector(
+            entry["eigenvalues"], f"{path}: {field!r} eigenvalues of {entry['label']!r}"))
+        for entry in entries)
+
+
 def _cmd_validate(args) -> int:
     with open(args.state, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    ctx = stateio.context_from_dict(data)
     if "r" not in data:
         raise ValueError("state descriptor lacks 'r'")
     r = theory._as_float_vector(data["r"], f"{args.state}: 'r'")
+    spec = theory.SystemSpec(r.size, _spectra(args.state, data, "operators"),
+                             _spectra(args.state, data, "nonstate"))
+    theory._check_operator_count(spec, ctx)
     total = float(r.sum())
     nonnegative = bool(np.all(r >= -theory.NORMALIZATION_ATOL))
     normalized = abs(total - 1.0) <= theory.RENORMALIZE_ATOL
-    eigenvalue_lists = [
-        theory._as_float_vector(entry["eigenvalues"], f"{args.state}: 'nonstate' "
-                                f"eigenvalues of {entry.get('label')!r}")
-        for entry in data.get("nonstate", ())
-    ]
-    fixed = theory.support_in_one_eigensubspace(r, eigenvalue_lists)
+    fixed = theory.support_in_one_eigensubspace(r, (eig for _, eig in spec.nonstate_blocks))
     payload = {
         "sum_r": total,
         "nonnegative": nonnegative,

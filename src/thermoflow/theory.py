@@ -278,6 +278,9 @@ def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, floa
     """Equilibrium probabilities and ln Z from exponents shifted by their maximum."""
     e = equilibrium_exponents(spec, ctx)
     m = float(e.max())
+    if not math.isfinite(float(e.min()) - m):
+        raise OverflowError(f"equilibrium exponents span [{float(e.min())!r}, {m!r}], "
+                            "wider than double range")
     w = np.exp(e - m)
     total = w.sum()
     return w / total, m + math.log(total)
@@ -375,29 +378,35 @@ class CompressedState:
         return np.exp(self.log_mult + self.log_g)
 
 
-def _compositions(n: int, d: int) -> np.ndarray:
-    """All length-d vectors of nonnegative integers summing to n, in
-    ascending lexicographic order: the many-copy test's stable argsort
-    breaks ties between equal ratios in this order."""
-    rows = np.empty((1, 0), dtype=np.int64)
-    rest = np.array([n], dtype=np.int64)
+def _type_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every composition k of n into d parts as a row of a float64 matrix,
+    in ascending lexicographic order (the many-copy test's stable argsort
+    breaks ties between equal ratios in this order), and log
+    multinomial(n; k) per row, its ln k_i! added left to right as numpy's
+    row sum does below 8 columns. A column keeps its own level's length
+    until it is written, so one full-length column exists at a time."""
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    values, repeats = [], []
+    rest, log_denominator = np.array([n]), np.zeros(1)
     for _ in range(d - 1):
         counts = rest + 1
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        value = np.arange(starts.size, dtype=np.int64) - starts
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), value])
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        values.append(value)
+        repeats.append(counts)
+        log_denominator = np.repeat(log_denominator, counts) + logfact[value]
         rest = np.repeat(rest, counts) - value
-    return np.column_stack([rows, rest])
+    log_mult = logfact[n] - (log_denominator + logfact[rest])
+    k = np.empty((rest.size, d))
+    for i, column in enumerate(values + [rest]):
+        for counts in repeats[i + 1:]:
+            column = np.repeat(column, counts)
+        k[:, i] = column
+    return k, log_mult
 
 
-def _masked_log_powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # log prod base^k with 0^0 = 1 and -inf where a zero base is used.
-    safe = np.where(base > 0.0, base, 1.0)
-    out = k @ np.log(safe)
-    dead = base <= 0.0
-    if dead.any():
-        out[(k[:, dead] > 0).any(axis=1)] = -np.inf
-    return out
+def _compositions(n: int, d: int) -> np.ndarray:
+    """The rows of ``_type_classes(n, d)`` as int64."""
+    return _type_classes(n, d)[0].astype(np.int64)
 
 
 def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
@@ -406,9 +415,9 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
 
     The class count is binomial(n + d - 1, d - 1); anything above
     ``max_classes`` (default one million classes) raises TooLarge rather
-    than exhausting memory. Multinomial logs come from a cumulative
-    log-factorial table, so total r and g masses are conserved to well
-    within 1e-9.
+    than exhausting memory. log prod r^k and log prod g^k read one float64
+    count matrix; multinomial logs come from a cumulative log-factorial
+    table, so total r and g masses are conserved to well within 1e-9.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -417,13 +426,16 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
     count = math.comb(n + d - 1, d - 1)
     if count > cap:
         raise TooLarge(f"{count} type classes exceed the cap of {cap}")
-    k = _compositions(n, d)
-    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    log_mult = logfact[n] - logfact[k].sum(axis=1)
+    k, log_mult = _type_classes(n, d)
+    dead = state.r <= 0.0
+    log_r = k @ np.log(np.where(dead, 1.0, state.r))
+    if dead.any():
+        # 0^0 = 1, but a class that uses a zero-probability outcome has none
+        log_r[k[:, dead].any(axis=1)] = -np.inf
     return CompressedState(
         n=n,
         log_mult=log_mult,
-        log_r=_masked_log_powers(state.r, k),
+        log_r=log_r,
         log_g=k @ _log_equilibrium(state.spec, ctx, gibbs_state(state.spec, ctx).r),
     )
 

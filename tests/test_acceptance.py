@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -181,6 +182,29 @@ def test_criterion_07_second_law_gap():
     ok = order_ok and band_ok
     assert _report(7, "square-root work gap stays banded", ok,
                    f"stats {['%.3f' % s for s in stats]}")
+
+
+def test_square_root_gap_matches_second_order_expansion():
+    # gain = D_H at 1 - eps and upper = D_H at eps minus ln((1 - eps)/eps),
+    # both per beta, and D_H^eps(r^n || g^n) = n D + sqrt(n V) Phi^-1(eps)
+    # + O(log n) (Tomamichel & Hayashi, arXiv:1208.1478), so the gap
+    # (upper - gain) beta + ln((1 - eps)/eps) is 2 sqrt(n V) Phi^-1(1 - eps)
+    # up to two O(log n) terms. d = 3 at n = 1400 is just under the cap.
+    rng = np.random.default_rng(709)
+    start = time.perf_counter()
+    for d, n in ((3, 1400), (3, 1400), (2, 4096), (2, 4096), (2, 4096)):
+        ctx = random_context(rng)
+        spec = random_spec(rng, d, ctx)
+        g = tf.gibbs_state(spec, ctx).r
+        r = 0.9 * rng.dirichlet(np.ones(d)) + 0.1 / d
+        eps = float(rng.uniform(0.02, 0.3))
+        log_ratio = np.log(r / g)
+        var = float(r @ log_ratio ** 2) - float(r @ log_ratio) ** 2
+        gain, (_, upper) = tf.finite_n_gap(tf.QuasiclassicalState(spec, r), ctx, eps, n)
+        gap = (upper - gain) * ctx.beta + math.log((1.0 - eps) / eps)
+        expansion = 2.0 * math.sqrt(n * var) * NormalDist().inv_cdf(1.0 - eps)
+        assert abs(gap - expansion) <= 2.0 * (math.log(n) + 5.0), (d, n, gap, expansion)
+    assert time.perf_counter() - start < 20.0
 
 
 def test_criterion_08_information_work_interconversion():

@@ -212,6 +212,19 @@ def test_rate_and_aep_across_a_gap_that_underflows_g(tmp_path):
     assert all(math.isfinite(value) for _, value in payload["rows"])
 
 
+def test_exponent_span_beyond_double_range_exits_2(tmp_path):
+    # e - max(e) overflows: -1e308 - 1e308 is not a double
+    path = helmholtz_state(tmp_path, "span.json", [0.0, 1e308, -1e308], [0.5, 0.3, 0.2])
+    for args in (("gibbs", path), ("lorenz", path), ("work", path, "--epsilon", "0.1"),
+                 ("rate", path, path), ("aep", path, "--epsilon", "0.1", "--n", "2,4")):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: equilibrium exponents span")
+        assert result.stderr.count("\n") == 1
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
+
 def test_nan_probabilities_exit_2(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(
@@ -290,6 +303,43 @@ def test_validate_rejects_nested_vectors(tmp_path):
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {path}: {field}")
         assert "one-dimensional" in result.stderr
+
+
+BROKEN_DESCRIPTORS = {
+    "beta is a string": {"beta": "x"},
+    "unknown representation": {"representation": "foo"},
+    "NaN eigenvalue": {"operators": [{"label": "H", "eigenvalues": [0.0, math.nan]}]},
+    "infinite eigenvalue": {"operators": [{"label": "H", "eigenvalues": [0.0, math.inf]}]},
+    "operators is a string": {"operators": "H"},
+    "operator without a label": {"operators": [{"eigenvalues": [0.0, 1.0]}]},
+    "too few eigenvalues": {"operators": [{"label": "H", "eigenvalues": [0.0]}]},
+    "nested eigenvalues": {"operators": [{"label": "H", "eigenvalues": [[0.0, 1.0]]}]},
+    "missing energy operator": {"operators": []},
+    "short nonstate list": {"nonstate": [{"label": "N", "eigenvalues": [1.0, 2.0, 3.0]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_DESCRIPTORS))
+def test_validate_rejects_what_gibbs_rejects(tmp_path, case):
+    payload = {"representation": "energy", "beta": 1.0, "intensive": [],
+               "operators": [{"label": "H", "eigenvalues": [0.0, 1.0]}], "r": [0.7, 0.3]}
+    payload.update(BROKEN_DESCRIPTORS[case])
+    path = write_json(tmp_path / "broken.json", payload)
+    for command in ("gibbs", "validate"):
+        result = run_cli(command, path)
+        assert result.returncode == 2, (command, result.stdout)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
+
+def test_validate_still_reports_an_unnormalized_energy_state(tmp_path):
+    path = helmholtz_state(tmp_path, "low.json", [0.0, 1.0], [0.5, 0.4])
+    result = run_cli("validate", path)
+    assert result.returncode == 1
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {"sum_r": 0.9, "nonnegative": True,
+                                         "normalized": False, "fixed_eigensubspace": True}
 
 
 def test_inline_context_flags(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import thermoflow as tf
+from thermoflow import theory
 from thermoflow.errors import (
     DimensionMismatch,
     IntensivesInEntropyTheory,
@@ -165,6 +166,14 @@ def test_gibbs_wrong_operator_count():
         tf.gibbs_state(spec, ctx)
 
 
+def test_exponent_span_beyond_double_range_raises_overflow():
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = tf.SystemSpec(3, (("H", [0.0, 1e308, -1e308]),))
+    for call in (tf.gibbs_state, tf.log_partition_function):
+        with pytest.raises(OverflowError, match="exponents span"):
+            call(spec, ctx)
+
+
 def test_compose_with_trivial_system_is_identity():
     rng = np.random.default_rng(3)
     ctx = tf.preset("helmholtz", beta=1.0)
@@ -294,6 +303,128 @@ def test_compositions_match_divider_enumeration():
             # same rows in the same order: downstream tie-breaking relies on it
             np.testing.assert_array_equal(got, expected)
             assert got.shape[0] == math.comb(n + d - 1, d - 1)
+
+
+def reference_tensor_power(state, ctx, n, max_classes=None):
+    """The integer-matrix builder the column-wise expansion replaced:
+    column_stack compositions, a gathered log-factorial row sum and a
+    masked matmul per vector."""
+    d = state.dim
+    rows = np.empty((1, 0), dtype=np.int64)
+    rest = np.array([n], dtype=np.int64)
+    for _ in range(d - 1):
+        counts = rest + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        value = np.arange(starts.size, dtype=np.int64) - starts
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), value])
+        rest = np.repeat(rest, counts) - value
+    k = np.column_stack([rows, rest])
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+
+    def masked_log_powers(base):
+        out = k @ np.log(np.where(base > 0.0, base, 1.0))
+        dead = base <= 0.0
+        if dead.any():
+            out[(k[:, dead] > 0).any(axis=1)] = -np.inf
+        return out
+
+    g = tf.gibbs_state(state.spec, ctx).r
+    return tf.CompressedState(
+        n=n,
+        log_mult=logfact[n] - logfact[k].sum(axis=1),
+        log_r=masked_log_powers(state.r),
+        log_g=k @ theory._log_equilibrium(state.spec, ctx, g),
+    )
+
+
+def power_cases(rng):
+    """States over d = 1 to 7 in entropy, helmholtz and grand_potential
+    contexts, a third with a zero entry in r."""
+    for d in range(1, 8):
+        for kind in ("entropy", "helmholtz", "grand_potential"):
+            ctx = tf.preset("entropy") if kind == "entropy" else random_context(rng, kind)
+            r = rng.dirichlet(np.ones(d))
+            if d > 1 and rng.random() < 1 / 3:
+                r[rng.integers(d)] = 0.0
+                r /= r.sum()
+            yield tf.QuasiclassicalState(random_spec(rng, d, ctx), r), ctx
+
+
+def assert_same_power(got, want):
+    assert got.n == want.n
+    for field in ("log_mult", "log_r", "log_g"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_tensor_power_matches_integer_reference_bit_for_bit():
+    rng = np.random.default_rng(811)
+    for state, ctx in power_cases(rng):
+        for n in range(1, 31 if state.dim <= 5 else 9):
+            want = reference_tensor_power(state, ctx, n)
+            assert_same_power(tf.tensor_power_compressed(state, ctx, n), want)
+
+
+def test_tensor_power_matches_integer_reference_near_the_cap():
+    rng = np.random.default_rng(812)
+    for d, n in ((3, 1400), (4, 175), (5, 62)):
+        for kind in ("helmholtz", "grand_potential"):
+            ctx = random_context(rng, kind)
+            r = rng.dirichlet(np.ones(d))
+            if kind == "grand_potential":
+                r[0] = 0.0
+                r /= r.sum()
+            state = tf.QuasiclassicalState(random_spec(rng, d, ctx), r)
+            assert_same_power(tf.tensor_power_compressed(state, ctx, n),
+                              reference_tensor_power(state, ctx, n))
+
+
+def test_tensor_power_matches_integer_reference_with_subnormal_g():
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = tf.SystemSpec(2, (("H", [0.0, 800.0]),))
+    assert tf.gibbs_state(spec, ctx).r[1] < np.finfo(float).tiny
+    for r in ([0.6, 0.4], [1.0, 0.0], [0.0, 1.0]):
+        state = tf.QuasiclassicalState(spec, r)
+        for n in (1, 2, 10, 300):
+            want = reference_tensor_power(state, ctx, n)
+            assert np.all(np.isfinite(want.log_g))
+            assert_same_power(tf.tensor_power_compressed(state, ctx, n), want)
+
+
+def test_tensor_power_rows_of_eight_or_more_columns_agree_to_rounding():
+    # numpy sums a row of 8 or more terms pairwise, the expansion left to
+    # right, so log multinomials may differ in the last bits there
+    rng = np.random.default_rng(813)
+    for d, n in ((8, 12), (10, 9)):
+        ctx = random_context(rng, "helmholtz")
+        state = tf.QuasiclassicalState(random_spec(rng, d, ctx), rng.dirichlet(np.ones(d)))
+        got = tf.tensor_power_compressed(state, ctx, n)
+        want = reference_tensor_power(state, ctx, n)
+        np.testing.assert_allclose(got.log_mult, want.log_mult, rtol=1e-14, atol=1e-13)
+        np.testing.assert_array_equal(got.log_r, want.log_r)
+        np.testing.assert_array_equal(got.log_g, want.log_g)
+
+
+def test_many_copy_results_match_reference_built_powers(monkeypatch):
+    rng = np.random.default_rng(814)
+    cases = []
+    for d, n in ((1, 7), (2, 300), (3, 40), (4, 175), (5, 18)):
+        ctx = random_context(rng)
+        r = rng.dirichlet(np.ones(d))
+        if d == 3:
+            r[1] = 0.0
+            r /= r.sum()
+        cases.append((tf.QuasiclassicalState(random_spec(rng, d, ctx), r), ctx, n,
+                      float(rng.uniform(0.02, 0.3))))
+
+    def results():
+        return [(tf.finite_n_gap(state, ctx, eps, n),
+                 tf.aep_sweep(state, ctx, eps, [1, n // 2 + 1, n]))
+                for state, ctx, n, eps in cases]
+
+    fast = results()
+    monkeypatch.setattr("thermoflow.asymptotics.tensor_power_compressed",
+                        reference_tensor_power)
+    assert results() == fast
 
 
 def test_fixed_eigensubspace_cases():
