@@ -10,7 +10,6 @@ convertible, 1 not convertible (or a failed validation), 2 any error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -57,13 +56,10 @@ def _resolve_context(args, embedded):
         return stateio.load_context(args.ctx)
     if inline is not None:
         return inline
-    if not embedded:
-        raise ValueError("no context: give --ctx, inline flags, or a state file")
-    first = embedded[0]
-    for other in embedded[1:]:
-        if stateio.context_to_dict(other) != stateio.context_to_dict(first):
-            raise ValueError("state files carry different contexts; pass --ctx")
-    return first
+    first = stateio.context_to_dict(embedded[0])
+    if any(stateio.context_to_dict(other) != first for other in embedded[1:]):
+        raise ValueError("state files carry different contexts; pass --ctx")
+    return embedded[0]
 
 
 def _load_states(args, *paths):
@@ -160,39 +156,18 @@ def _cmd_aep(args) -> int:
     return 0
 
 
-def _spectra(path, data, field):
-    """(label, eigenvalues) pairs under ``field``, each finite and one-dimensional."""
-    entries = data.get(field, [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"{path}: {field!r} must be a list of objects")
-    return tuple(
-        (entry["label"], theory._as_float_vector(
-            entry["eigenvalues"], f"{path}: {field!r} eigenvalues of {entry['label']!r}"))
-        for entry in entries)
-
-
 def _cmd_validate(args) -> int:
-    with open(args.state, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    ctx = stateio.context_from_dict(data)
-    if "r" not in data:
-        raise ValueError("state descriptor lacks 'r'")
-    r = theory._as_float_vector(data["r"], f"{args.state}: 'r'")
-    spec = theory.SystemSpec(r.size, _spectra(args.state, data, "operators"),
-                             _spectra(args.state, data, "nonstate"))
+    ctx, spec, r = stateio.read_descriptor(args.state)
     theory._check_operator_count(spec, ctx)
     total = float(r.sum())
-    nonnegative = bool(np.all(r >= -theory.NORMALIZATION_ATOL))
-    normalized = abs(total - 1.0) <= theory.RENORMALIZE_ATOL
-    fixed = theory.support_in_one_eigensubspace(r, (eig for _, eig in spec.nonstate_blocks))
-    payload = {
-        "sum_r": total,
-        "nonnegative": nonnegative,
-        "normalized": normalized,
-        "fixed_eigensubspace": fixed,
+    checks = {
+        "nonnegative": bool(np.all(r >= -theory.NORMALIZATION_ATOL)),
+        "normalized": abs(total - 1.0) <= theory.RENORMALIZE_ATOL,
+        "fixed_eigensubspace": theory.support_in_one_eigensubspace(
+            r, (eig for _, eig in spec.nonstate_blocks)),
     }
-    _write(args, stateio.dumps(payload))
-    return 0 if (nonnegative and normalized and fixed) else 1
+    _write(args, stateio.dumps({"sum_r": total, **checks}))
+    return 0 if all(checks.values()) else 1
 
 
 def _add_context_flags(parser):

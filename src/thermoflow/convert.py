@@ -122,12 +122,12 @@ def feasibility_oracle(q: ConversionQuery):
         raise TooLarge(f"oracle capped at dimension {cap} per side, "
                        f"got {q.source.dim} and {q.target.dim}")
     r, s = q.source.r, q.target.r
-    g_src = gibbs_state(q.source.spec, q.ctx).r
-    g_tgt = gibbs_state(q.target.spec, q.ctx).r
-    eye = np.eye(s.size)
-    A = np.vstack([np.tile(np.eye(r.size), s.size),     # sum_j m[j, k] = 1
-                   np.kron(eye, g_src.reshape(1, -1)),  # sum_k g_S[k] m[j, k] = g_T[j]
-                   np.kron(eye, r.reshape(1, -1))])     # sum_k r[k] m[j, k] = s[j]
+    g_src, g_tgt = (_equilibrium(side.spec, q.ctx)[0] for side in (q.source, q.target))
+    # Rows sum_j m[j, k] = 1, then sum_k g_S[k] m[j, k] = g_T[j] and sum_k r[k] m[j, k]
+    # = s[j], whose row j holds its vector in columns j*d_S to j*d_S + d_S - 1.
+    A = np.zeros((r.size + 2 * s.size, s.size * r.size))
+    A[:r.size].reshape(r.size, s.size, r.size)[:] = np.eye(r.size)[:, None]
+    A[r.size:].reshape(2, s.size ** 2, r.size)[:, ::s.size + 1] = np.stack((g_src, r))[:, None]
     b = np.concatenate([np.ones(r.size), g_tgt, s])
     status, x, _ = solve_standard_lp(A, b, np.zeros(A.shape[1]))
     if status == "infeasible":
@@ -135,10 +135,9 @@ def feasibility_oracle(q: ConversionQuery):
     matrix = np.clip(x.reshape(s.size, r.size), 0.0, None)
     if not _same_table(q.source.spec, q.target.spec):
         # Lift M and check the witness against the composed vectors.
-        matrix = np.einsum("i,jk,l->ijkl", g_src, matrix, np.ones(s.size))
-        matrix = matrix.reshape(r.size * s.size, -1)
-        r, s = np.kron(r, g_tgt), np.kron(g_src, s)
-        g_src = g_tgt = np.kron(g_src, g_tgt)
+        matrix = np.repeat(g_src[:, None, None] * matrix, s.size, 2).reshape(r.size * s.size, -1)
+        r, s = np.outer(r, g_tgt).ravel(), np.outer(g_src, s).ravel()
+        g_src = g_tgt = np.outer(g_src, g_tgt).ravel()
     witness = WitnessMatrix(matrix)
     for got, want in ((matrix @ g_src, g_tgt), (matrix @ r, s)):
         if np.abs(got - want).max() > WITNESS_ATOL:

@@ -3,8 +3,10 @@
 Full-tableau implementation in standard form (min c.x, A x = b, x >= 0)
 with Bland's anticycling rule throughout: the entering column is the
 lowest-index improving one and ratio ties leave the row whose basic
-variable has the lowest index. Determinism matters more than speed here;
-instances stay tiny.
+variable has the lowest index. Determinism comes first: each pivot is one
+argmax, one ratio test whose ties go to an argmin over the int basis array
+and one broadcast rank-1 update in place. These do the textbook loop's
+float operations in its order, so pivots and results match it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,34 +16,30 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 
 
-def _pivot(tableau: np.ndarray, basis: list, row: int, col: int):
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
     pivot_row = tableau[row] / tableau[row, col]
-    column = tableau[:, col].copy()
-    tableau -= np.outer(column, pivot_row)
+    # The product is formed before the subtraction, and the pivot column comes
+    # out an exact unit vector: x/x is 1.0 and t - t*1.0 is +0.0.
+    tableau -= tableau[:, col, None] * pivot_row
     tableau[row] = pivot_row
-    # Kill roundoff so the basic column is exactly a unit vector.
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: list, tol: float, max_iter: int) -> str:
-    m = tableau.shape[0] - 1
+def _iterate(tableau: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) -> str:
+    body, rhs, reduced = tableau[:-1], tableau[:-1, -1], tableau[-1, :-1]
     for _ in range(max_iter):
-        reduced = tableau[-1, :-1]
-        improving = np.flatnonzero(reduced < -tol)
-        if improving.size == 0:
+        improving = reduced < -tol
+        col = int(improving.argmax())
+        if not improving[col]:
             return "optimal"
-        col = int(improving[0])
-        column = tableau[:m, col]
-        rows = np.flatnonzero(column > tol)
+        column = body[:, col]
+        rows = (column > tol).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
+        ratios = rhs[rows] / column[rows]
+        best = float(ratios.min())
         tied = rows[ratios <= best + tol * max(1.0, abs(best))]
-        row = int(tied[np.argmin([basis[t] for t in tied])])
-        _pivot(tableau, basis, row, col)
+        _pivot(tableau, basis, int(tied[basis[tied].argmin()]), col)
     raise ArithmeticError("simplex iteration cap exceeded")
 
 
@@ -70,7 +68,7 @@ def solve_standard_lp(A, b, c, tol: float = FEASIBILITY_TOL,
     tableau[:m, -1] = b
     tableau[-1, :n] = -A.sum(axis=0)
     tableau[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     status = _iterate(tableau, basis, tol, max_iter)
     if status != "optimal":
@@ -91,9 +89,8 @@ def solve_standard_lp(A, b, c, tol: float = FEASIBILITY_TOL,
 
     rows = len(keep)
     phase2 = np.zeros((rows + 1, n + 1))
-    phase2[:rows, :n] = tableau[keep][:, :n]
-    phase2[:rows, -1] = tableau[keep][:, -1]
-    basis = [basis[i] for i in keep]
+    phase2[:rows, :n], phase2[:rows, -1] = tableau[keep, :n], tableau[keep, -1]
+    basis = basis[keep]
     cost_basic = c[basis]
     phase2[-1, :n] = c - cost_basic @ phase2[:rows, :n]
     phase2[-1, -1] = -(cost_basic @ phase2[:rows, -1])

@@ -14,20 +14,21 @@ the probability vector, so a single file round-trips through the loader:
     }
 
 Floats are emitted with shortest exact repr, so a decimal round trip
-reproduces the doubles bit for bit.
+reproduces the doubles bit for bit. Loaders check every field's type and
+shape, and their error messages begin "<path>: '<field>'".
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
+from .errors import ThermoflowError
 from .theory import (
     ENERGY,
     QuasiclassicalState,
     SystemSpec,
     TheoryContext,
+    _as_float_vector,
     make_context,
 )
 
@@ -40,16 +41,42 @@ def context_to_dict(ctx: TheoryContext) -> dict:
     return out
 
 
-def context_from_dict(data: dict) -> TheoryContext:
-    if not isinstance(data, dict):
-        raise ValueError("context descriptor must be a JSON object")
-    if "representation" not in data:
-        raise ValueError("context descriptor lacks 'representation'")
-    intensive = [
-        (entry["label"], float(entry["value"]))
-        for entry in data.get("intensive", ())
-    ]
-    return make_context(data["representation"], data.get("beta"), intensive)
+def _where(source) -> str:
+    return "" if source is None else f"{source}: "
+
+
+def _built(where: str, build, *args):
+    """build(*args), with ``where`` put in front of any error message it raises."""
+    try:
+        return build(*args)
+    except (ThermoflowError, ValueError) as exc:
+        raise type(exc)(f"{where}{exc}") from None
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
+def _objects(data: dict, field: str, keys: tuple, where: str) -> list:
+    """The list under ``field`` (empty when absent) of objects that hold ``keys``."""
+    entries = data.get(field, [])
+    if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and set(keys) <= entry.keys() for entry in entries):
+        raise ValueError(f"{where}{field!r} must be a list of objects with {' and '.join(keys)}")
+    return entries
+
+
+def context_from_dict(data: dict, source=None) -> TheoryContext:
+    """Context of one descriptor; error messages start with ``source`` (a path) if given."""
+    where = _where(source)
+    if not isinstance(data, dict) or "representation" not in data:
+        raise ValueError(f"{where}context descriptor must be a JSON object with 'representation'")
+    beta = None if data.get("beta") is None else _number(data["beta"], f"{where}'beta'")
+    intensive = [(entry["label"], _number(entry["value"], f"{where}'intensive' {entry['label']!r}"))
+                 for entry in _objects(data, "intensive", ("label", "value"), where)]
+    return _built(where, make_context, data["representation"], beta, intensive)
 
 
 def _blocks_to_json(blocks) -> list:
@@ -59,11 +86,21 @@ def _blocks_to_json(blocks) -> list:
     ]
 
 
-def _blocks_from_json(entries) -> tuple:
-    return tuple(
-        (entry["label"], np.array(entry["eigenvalues"], dtype=float))
-        for entry in entries
-    )
+def _spectra(data: dict, field: str, dim: int, where: str) -> tuple:
+    """(label, eigenvalues) pairs under ``field``, each finite, 1-D and ``dim`` long."""
+    return tuple((entry["label"], _as_float_vector(
+        entry["eigenvalues"], f"{where}{field!r} eigenvalues of {entry['label']!r}", dim))
+        for entry in _objects(data, field, ("label", "eigenvalues"), where))
+
+
+def _descriptor(data: dict, source=None):
+    """(context, spec, r) of one descriptor, r checked only as a finite vector."""
+    ctx, where = context_from_dict(data, source), _where(source)
+    if "r" not in data:
+        raise ValueError(f"{where}state descriptor lacks 'r'")
+    r = _as_float_vector(data["r"], f"{where}'r'")
+    blocks = (_spectra(data, field, r.size, where) for field in ("operators", "nonstate"))
+    return ctx, _built(f"{where}'r': ", SystemSpec, r.size, *blocks), r
 
 
 def state_to_dict(state: QuasiclassicalState, ctx: TheoryContext) -> dict:
@@ -75,29 +112,29 @@ def state_to_dict(state: QuasiclassicalState, ctx: TheoryContext) -> dict:
     return out
 
 
-def state_from_dict(data: dict):
+def state_from_dict(data: dict, source=None):
     """(context, state) from one descriptor."""
-    ctx = context_from_dict(data)
-    if "r" not in data:
-        raise ValueError("state descriptor lacks 'r'")
-    r = np.array(data["r"], dtype=float)
-    spec = SystemSpec(
-        dim=r.size,
-        operators=_blocks_from_json(data.get("operators", ())),
-        nonstate_blocks=_blocks_from_json(data.get("nonstate", ())),
-    )
-    return ctx, QuasiclassicalState(spec, r)
+    ctx, spec, r = _descriptor(data, source)
+    return ctx, _built(f"{_where(source)}'r': ", QuasiclassicalState, spec, r)
+
+
+def _read(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def read_descriptor(path):
+    """(context, spec, r) parsed from a descriptor file, r not yet normalized."""
+    return _descriptor(_read(path), path)
 
 
 def load_state(path):
     """(context, state) parsed from a descriptor file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return state_from_dict(json.load(handle))
+    return state_from_dict(_read(path), path)
 
 
 def load_context(path) -> TheoryContext:
-    with open(path, "r", encoding="utf-8") as handle:
-        return context_from_dict(json.load(handle))
+    return context_from_dict(_read(path), path)
 
 
 def dumps(payload: dict) -> str:

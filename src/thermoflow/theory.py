@@ -38,12 +38,17 @@ RENORMALIZE_ATOL = 1e-9
 SUPPORT_ATOL = 1e-15
 
 
-def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _as_float_vector(values, name: str, size: int | None = None) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
+    if size is not None and arr.size != size:
+        raise DimensionMismatch(f"{name} must have {size} entries, not {arr.size}")
     arr.flags.writeable = False
     return arr
 
@@ -204,11 +209,7 @@ class SystemSpec:
         for name in ("operators", "nonstate_blocks"):
             checked = []
             for label, eig in getattr(self, name):
-                arr = _as_float_vector(eig, f"eigenvalues of {label!r}")
-                if arr.size != self.dim:
-                    raise DimensionMismatch(
-                        f"operator {label!r} has {arr.size} eigenvalues, expected {self.dim}"
-                    )
+                arr = _as_float_vector(eig, f"eigenvalues of {label!r}", self.dim)
                 checked.append((str(label), arr))
             object.__setattr__(self, name, tuple(checked))
         table = np.array([eig for _, eig in self.operators], dtype=float).reshape(-1, self.dim)
@@ -246,7 +247,7 @@ class QuasiclassicalState:
         arr = np.clip(arr, 0.0, None)
         total = arr.sum()
         if abs(total - 1.0) > RENORMALIZE_ATOL:
-            raise NormalizationError(f"probabilities sum to {total!r}, too far from 1")
+            raise NormalizationError(f"probabilities sum to {float(total)!r}, too far from 1")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             arr = arr / total
         arr.flags.writeable = False
@@ -385,6 +386,8 @@ def _type_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     multinomial(n; k) per row, its ln k_i! added left to right as numpy's
     row sum does below 8 columns. A column keeps its own level's length
     until it is written, so one full-length column exists at a time."""
+    if d == 1:  # one class of multiplicity 1; skip the (n + 1)-entry table
+        return np.full((1, 1), float(n)), np.zeros(1)
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
     values, repeats = [], []
     rest, log_denominator = np.array([n]), np.zeros(1)

@@ -399,3 +399,54 @@ def test_conflicting_embedded_contexts_need_ctx(tmp_path, hot_state):
     assert result.returncode == 2
     fixed = run_cli("convert", hot_state, other, "--beta", "1.0")
     assert fixed.returncode in (0, 1)
+
+
+MISTYPED_FIELDS = {
+    "beta is a string": ("'beta'", {"beta": "x"}),
+    "beta is a boolean": ("'beta'", {"beta": True}),
+    "intensive is a string": ("'intensive'", {"intensive": "mu"}),
+    "intensive value is a string": ("'intensive'", {"intensive": [{"label": "mu", "value": "1"}]}),
+    "operators is a string": ("'operators'", {"operators": "H"}),
+    "operator without a label": ("'operators'", {"operators": [{"eigenvalues": [0.0, 1.0]}]}),
+    "eigenvalues are strings": ("'operators'",
+                                {"operators": [{"label": "H", "eigenvalues": ["a", "b"]}]}),
+    "too few eigenvalues": ("'operators'", {"operators": [{"label": "H", "eigenvalues": [0.0]}]}),
+    "nonstate is an object": ("'nonstate'", {"nonstate": {"label": "N"}}),
+    "r is a string": ("'r'", {"r": "x"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_load_errors_name_the_file_and_the_field(tmp_path, case):
+    field, update = MISTYPED_FIELDS[case]
+    payload = {"representation": "energy", "beta": 1.0, "intensive": [],
+               "operators": [{"label": "H", "eigenvalues": [0.0, 1.0]}], "r": [0.7, 0.3]}
+    payload.update(update)
+    path = write_json(tmp_path / "mistyped.json", payload)
+    for command in ("gibbs", "validate"):
+        result = run_cli(command, path)
+        assert result.returncode == 2, (command, result.stdout)
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: {field}")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+
+def test_load_errors_name_the_file_in_convert_and_ctx(tmp_path, hot_state):
+    bad = write_json(tmp_path / "bad.json", {
+        "representation": "energy", "beta": 1.0, "intensive": [],
+        "operators": "H", "r": [0.5, 0.5],
+    })
+    ctx = write_json(tmp_path / "ctx.json", {
+        "representation": "energy", "beta": "hot", "intensive": [],
+    })
+    cold = write_json(tmp_path / "cold.json", {
+        "representation": "energy", "beta": -1.0, "intensive": [],
+    })
+    for args, prefix in ((("convert", hot_state, bad), f"error: {bad}: 'operators'"),
+                         (("work", hot_state, "--ctx", ctx), f"error: {ctx}: 'beta'"),
+                         (("gibbs", hot_state, "--ctx", cold), f"error: {cold}: beta")):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stderr.startswith(prefix), result.stderr
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import thermoflow as tf
+from thermoflow import convert
 from thermoflow.simplex import solve_standard_lp
+
+from conftest import random_context, random_spec, random_state
 
 
 def test_known_optimum_with_slack():
@@ -77,3 +81,261 @@ def test_random_feasible_instances():
         np.testing.assert_allclose(A @ x, b, atol=1e-8)
         assert np.all(x >= -1e-12)
         assert obj <= c @ x0 + 1e-8
+
+
+# --- Reference oracle: the plain textbook pivot loop (list basis, np.outer
+# update, explicit unit-column reset). The production loop must take the same
+# pivots and return the same bits on every LP.
+
+def reference_pivot(tableau, basis, row, col):
+    pivot_row = tableau[row] / tableau[row, col]
+    column = tableau[:, col].copy()
+    tableau -= np.outer(column, pivot_row)
+    tableau[row] = pivot_row
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
+
+
+def reference_iterate(tableau, basis, tol, max_iter):
+    m = tableau.shape[0] - 1
+    for _ in range(max_iter):
+        reduced = tableau[-1, :-1]
+        improving = np.flatnonzero(reduced < -tol)
+        if improving.size == 0:
+            return "optimal"
+        col = int(improving[0])
+        column = tableau[:m, col]
+        rows = np.flatnonzero(column > tol)
+        if rows.size == 0:
+            return "unbounded"
+        ratios = tableau[rows, -1] / column[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + tol * max(1.0, abs(best))]
+        row = int(tied[np.argmin([basis[t] for t in tied])])
+        reference_pivot(tableau, basis, row, col)
+    raise ArithmeticError("simplex iteration cap exceeded")
+
+
+def reference_solve(A, b, c, tol=1e-9, max_iter=None):
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    c = np.array(c, dtype=float)
+    m, n = A.shape
+    if max_iter is None:
+        max_iter = 1000 + 200 * (m + n)
+    flip = b < 0
+    A[flip] *= -1.0
+    b = np.abs(b)
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = A
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[-1, :n] = -A.sum(axis=0)
+    tableau[-1, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    status = reference_iterate(tableau, basis, tol, max_iter)
+    if status != "optimal":
+        raise ArithmeticError("phase 1 cannot be unbounded")
+    if -tableau[-1, -1] > tol:
+        return "infeasible", None, None
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            candidates = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
+            if candidates.size == 0:
+                continue
+            reference_pivot(tableau, basis, i, int(candidates[0]))
+        keep.append(i)
+    rows = len(keep)
+    phase2 = np.zeros((rows + 1, n + 1))
+    phase2[:rows, :n] = tableau[keep][:, :n]
+    phase2[:rows, -1] = tableau[keep][:, -1]
+    basis = [basis[i] for i in keep]
+    cost_basic = c[basis]
+    phase2[-1, :n] = c - cost_basic @ phase2[:rows, :n]
+    phase2[-1, -1] = -(cost_basic @ phase2[:rows, -1])
+    status = reference_iterate(phase2, basis, tol, max_iter)
+    if status == "unbounded":
+        return "unbounded", None, None
+    x = np.zeros(n)
+    x[basis] = np.maximum(phase2[:rows, -1], 0.0)
+    return "optimal", x, float(c @ x)
+
+
+def assert_same_solution(got, want):
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+
+
+def reference_transport_lp(q):
+    """The witness LP's rows built with np.tile and np.kron."""
+    r, s = q.source.r, q.target.r
+    g_src = tf.gibbs_state(q.source.spec, q.ctx).r
+    g_tgt = tf.gibbs_state(q.target.spec, q.ctx).r
+    eye = np.eye(s.size)
+    A = np.vstack([np.tile(np.eye(r.size), s.size),
+                   np.kron(eye, g_src.reshape(1, -1)),
+                   np.kron(eye, r.reshape(1, -1))])
+    return A, np.concatenate([np.ones(r.size), g_tgt, s])
+
+
+def reference_oracle(q, x):
+    """The oracle's answer from the LP solution x with an einsum lift across
+    tables, then the witness and residual checks."""
+    r, s = q.source.r, q.target.r
+    g_src = tf.gibbs_state(q.source.spec, q.ctx).r
+    g_tgt = tf.gibbs_state(q.target.spec, q.ctx).r
+    matrix = np.clip(x.reshape(s.size, r.size), 0.0, None)
+    if not convert._same_table(q.source.spec, q.target.spec):
+        matrix = np.einsum("i,jk,l->ijkl", g_src, matrix, np.ones(s.size))
+        matrix = matrix.reshape(r.size * s.size, -1)
+        r, s = np.kron(r, g_tgt), np.kron(g_src, s)
+        g_src = g_tgt = np.kron(g_src, g_tgt)
+    witness = tf.WitnessMatrix(matrix)
+    for got, want in ((matrix @ g_src, g_tgt), (matrix @ r, s)):
+        if np.abs(got - want).max() > 1e-9:
+            raise ArithmeticError("feasible witness violates its defining equations")
+    return witness
+
+
+def outcome(oracle, *args):
+    """Witness bytes, None, or the error an oracle raises, in one comparable value."""
+    try:
+        witness = oracle(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None if witness is None else witness.entries.tobytes()
+
+
+def assert_oracle_matches_reference(q, monkeypatch):
+    """feasibility_oracle against the reference rows, pivots, lift and checks, bit
+    for bit; returns the oracle's outcome."""
+    solved = []
+
+    def spy(A, b, c):
+        out = solve_standard_lp(A, b, c)
+        solved.append((A, b, c, out))
+        return out
+
+    monkeypatch.setattr(convert, "solve_standard_lp", spy)
+    got = outcome(tf.feasibility_oracle, q)
+    (A, b, c, out), = solved
+    A_ref, b_ref = reference_transport_lp(q)
+    assert np.array_equal(A, A_ref) and b.tobytes() == b_ref.tobytes()
+    reference = reference_solve(A_ref, b_ref, np.zeros(A_ref.shape[1]))
+    assert_same_solution(out, reference)
+    want = None if reference[0] == "infeasible" else outcome(reference_oracle, q, reference[1])
+    assert got == want
+    return got
+
+
+def coupling_map(rng, g_src, g_tgt):
+    """Random d_T x d_S stochastic M with M g_src = g_tgt: a mixture of two
+    greedy couplings of (g_tgt, g_src), each filling targets and sources in
+    random orders, with each column divided by its source mass."""
+    pi = np.zeros((g_tgt.size, g_src.size))
+    for weight in rng.dirichlet(np.ones(2)):
+        left_t, left_s = g_tgt.copy(), g_src.copy()
+        for i in rng.permutation(g_tgt.size):
+            for j in rng.permutation(g_src.size):
+                mass = min(left_t[i], left_s[j])
+                pi[i, j] += weight * mass
+                left_t[i] -= mass
+                left_s[j] -= mass
+    return pi / pi.sum(axis=0)
+
+
+def transport_query(rng, trial, max_dim=12):
+    """Same-table (even trials) or cross-table query up to max_dim per side:
+    reachable by construction, a random target, or a random target mixed
+    halfway to equilibrium. Vectors are mixed with 10 % uniform, as entries
+    near 1e-6 push the dense simplex past the witness tolerance."""
+    ctx = random_context(rng)
+    d_src, d_tgt = (int(v) for v in rng.integers(1, max_dim + 1, size=2))
+    spec_src = random_spec(rng, d_src, ctx)
+    spec_tgt = spec_src if trial % 2 == 0 else random_spec(rng, d_tgt, ctx)
+    g_src, g_tgt = (tf.gibbs_state(spec, ctx).r for spec in (spec_src, spec_tgt))
+
+    def draw(spec):
+        return 0.9 * rng.dirichlet(np.ones(spec.dim)) + 0.1 / spec.dim
+
+    r = draw(spec_src)
+    kind = trial // 2 % 3
+    if kind == 0:
+        s = coupling_map(rng, g_src, g_tgt) @ r
+    else:
+        s = draw(spec_tgt)
+        if kind == 2:
+            s = 0.5 * s + 0.5 * g_tgt
+    return tf.ConversionQuery(tf.QuasiclassicalState(spec_src, r),
+                              tf.QuasiclassicalState(spec_tgt, s), ctx)
+
+
+def test_witness_lp_matches_reference_on_500_transport_queries(monkeypatch):
+    rng = np.random.default_rng(1009)
+    outcomes = [assert_oracle_matches_reference(transport_query(rng, trial), monkeypatch)
+                for trial in range(500)]
+    assert 150 < sum(isinstance(o, bytes) for o in outcomes) < 450
+    assert sum(o is None for o in outcomes) > 50
+
+
+def test_witness_lp_matches_reference_on_degenerate_queries(monkeypatch):
+    """Identity conversions, equilibrium sources and equilibrium targets. The
+    dense simplex can still return an infeasible point here (an entry of 1.35
+    on one identity conversion at d = 10); the oracle must then reject it
+    exactly as the reference does."""
+    rng = np.random.default_rng(1013)
+    witnesses = 0
+    for trial in range(60):
+        ctx = random_context(rng)
+        d_src, d_tgt = (int(v) for v in rng.integers(1, 13, size=2))
+        spec_src = random_spec(rng, d_src, ctx)
+        spec_tgt = spec_src if trial % 2 == 0 else random_spec(rng, d_tgt, ctx)
+        g_src, g_tgt = (tf.gibbs_state(spec, ctx) for spec in (spec_src, spec_tgt))
+        source = random_state(rng, spec_src)
+        target = random_state(rng, spec_tgt)
+        for q in (tf.ConversionQuery(source, source, ctx), tf.ConversionQuery(g_src, g_tgt, ctx),
+                  tf.ConversionQuery(source, g_tgt, ctx), tf.ConversionQuery(g_src, target, ctx)):
+            got = assert_oracle_matches_reference(q, monkeypatch)
+            if got is None or isinstance(got, bytes):
+                assert (got is not None) == tf.can_convert(q)
+                witnesses += got is not None
+    assert witnesses > 150
+
+
+def test_random_feasible_family_matches_reference():
+    for seed in (41, 42, 43, 44):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(4, 10))
+            A = rng.normal(size=(m, n))
+            b = A @ rng.uniform(0, 2, n)
+            for c in (rng.uniform(0, 1, n), rng.normal(size=n)):
+                assert_same_solution(solve_standard_lp(A, b, c), reference_solve(A, b, c))
+
+
+def test_small_cases_match_reference():
+    cases = [
+        ([[1.0, 1.0, 1.0]], [1.0], [-1.0, -1.0, 0.0]),
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], [0.0, 0.0]),
+        ([[1.0, -1.0]], [1.0], [-1.0, 0.0]),
+        ([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [1.0, 0.0]),
+        ([[-1.0, -1.0]], [-1.0], [2.0, 1.0]),
+    ]
+    for A, b, c in cases:
+        assert_same_solution(solve_standard_lp(A, b, c), reference_solve(A, b, c))
+
+
+def test_iteration_cap_still_raises():
+    # Two artificial variables leave the basis one pivot at a time, and a
+    # third pass finds no improving column.
+    A, b, c = np.eye(2), np.array([1.0, 1.0]), np.zeros(2)
+    for solve in (solve_standard_lp, reference_solve):
+        for max_iter in (1, 2):
+            with pytest.raises(ArithmeticError, match="iteration cap"):
+                solve(A, b, c, max_iter=max_iter)
+        assert_same_solution(solve(A, b, c, max_iter=3), ("optimal", np.ones(2), 0.0))

@@ -62,3 +62,16 @@ def test_loader_tolerates_extra_keys():
         "partition_function": 1.5,
     })
     assert ctx.beta == 1.0
+
+
+def test_mistyped_fields_are_named():
+    base = {"representation": "energy", "beta": 1.0, "intensive": [],
+            "operators": [{"label": "H", "eigenvalues": [0.0, 1.0]}], "r": [0.5, 0.5]}
+    for update, field in (({"beta": "x"}, "'beta'"),
+                          ({"intensive": [{"label": "mu"}]}, "'intensive'"),
+                          ({"operators": "H"}, "'operators'"),
+                          ({"r": [0.5, None]}, "'r'")):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            stateio.state_from_dict({**base, **update})
+        with pytest.raises(ValueError, match=f"^file.json: {field}"):
+            stateio.state_from_dict({**base, **update}, "file.json")

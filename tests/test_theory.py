@@ -404,6 +404,24 @@ def test_tensor_power_rows_of_eight_or_more_columns_agree_to_rounding():
         np.testing.assert_array_equal(got.log_g, want.log_g)
 
 
+def test_one_level_power_builds_no_log_factorial_table():
+    import tracemalloc
+
+    ctx = tf.preset("helmholtz", beta=1.3)
+    state = tf.QuasiclassicalState(tf.SystemSpec(1, (("H", [0.7]),)), [1.0])
+    for n in (1, 2, 7, 30, 1000, 123456):
+        assert_same_power(tf.tensor_power_compressed(state, ctx, n),
+                          reference_tensor_power(state, ctx, n))
+    tracemalloc.start()
+    try:
+        power = tf.tensor_power_compressed(state, ctx, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert power.n_classes == 1 and power.log_mult.tolist() == [0.0]
+    assert peak < 1_000_000
+
+
 def test_many_copy_results_match_reference_built_powers(monkeypatch):
     rng = np.random.default_rng(814)
     cases = []
