@@ -5,7 +5,7 @@ n-fold product is grouped into type classes (all permutations of one
 outcome count share their probability ratio), and the greedy hypothesis
 test consumes whole classes with at most one fractional class. Class
 totals are accumulated in log space, so n in the thousands is routine
-for small d. A whole delta grid takes one searchsorted over the classes.
+for small d. One bisection over the classes finds the best delta.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import EpsilonOutOfRange, TargetIsEquilibrium
 from .oneshot import (
-    W_COST_GRID_SIZE,
     _check_epsilon,
-    _delta_grid_lower,
     _equilibrium_divergence,
     _require_energy,
     shannon_entropy,
@@ -49,7 +47,7 @@ class _SortedClasses:
     """Type classes sorted by evidence ratio, with prefix tables.
 
     Answers "optimal log Type II error at detection threshold `need`"
-    in O(log n_classes) per query, which makes delta grids cheap.
+    in O(log n_classes) per query, and the lower cost bound in as many steps.
     """
 
     def __init__(self, cs: CompressedState):
@@ -79,6 +77,31 @@ class _SortedClasses:
         log_frac = np.array([-math.inf if f == 0.0 else math.log(f) for f in frac.tolist()])
         out[~exhausted] = np.logaddexp(prev_log_g, log_frac + self.log_g_mass[k])
         return out
+
+    def max_lower_objective(self, epsilon: float) -> float:
+        """max over h in (eps, 1] of ln(h - eps) - ln b(h), b at threshold h.
+
+        b is convex and piecewise linear in h, so the objective rises along
+        the class pieces up to one boundary and falls after it: piece k rises
+        iff ln b(h_k) + ln rho_k > ln(h_k - eps), rho_k its r/g. A piece whose
+        r mass underflowed adds no height and takes the answer of the piece
+        that reached that height. The piece holding eps rises (b(eps) > 0).
+        """
+        cum_r = self.cum_r
+        lo = int(np.searchsorted(cum_r, epsilon, side="right")) + 1
+        last = hi = min(int(np.searchsorted(cum_r, 1.0, side="left")), cum_r.size - 1)
+        while lo <= hi:  # first falling piece past eps, up to the one holding h = 1
+            mid = (lo + hi) // 2
+            k = int(np.searchsorted(cum_r, cum_r[mid], side="left"))
+            log_rho = math.log(self.r_mass[k]) - self.log_g_mass[k]
+            if self.prefix_log_g[k] + log_rho > math.log(cum_r[k] - epsilon):
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        if lo > last:
+            return math.log(1.0 - epsilon) - self.log_b(1.0)
+        k = int(np.searchsorted(cum_r, cum_r[lo - 1], side="left"))
+        return math.log(cum_r[k] - epsilon) - float(self.prefix_log_g[k])
 
 
 def compressed_d_h_epsilon(cs: CompressedState, epsilon: float) -> float:
@@ -137,9 +160,8 @@ def conversion_rate(source: QuasiclassicalState, target: QuasiclassicalState,
 
 
 def finite_n_gap(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
-                 n: int, grid_size: int = W_COST_GRID_SIZE,
-                 max_classes: int | None = None):
-    """Total n-copy work yield and cost bounds: (gain_n, (lower_n, upper_n)).
+                 n: int, max_classes: int | None = None):
+    """Total n-copy work yield and ``w_cost_bounds``: (gain_n, (lower_n, upper_n)).
 
     Totals are reported, not per-copy values, so the square-root-of-n gap
     between cost and gain stays visible to the caller.
@@ -147,9 +169,6 @@ def finite_n_gap(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
     _require_energy(ctx)
     _check_epsilon(epsilon, lo_open=True)
     classes = _SortedClasses(tensor_power_compressed(state, ctx, n, max_classes))
-    beta = ctx.beta
-
-    gain = -classes.log_b(1.0 - epsilon) / beta + 0.0
-    upper = (-classes.log_b(epsilon) - math.log((1.0 - epsilon) / epsilon)) / beta
-    lower = _delta_grid_lower(classes.log_b_many, epsilon, beta, grid_size)
-    return gain, (lower, upper)
+    gain = -classes.log_b(1.0 - epsilon) / ctx.beta + 0.0
+    upper = (-classes.log_b(epsilon) - math.log((1.0 - epsilon) / epsilon)) / ctx.beta
+    return gain, (classes.max_lower_objective(epsilon) / ctx.beta, upper)

@@ -33,11 +33,10 @@ from .theory import (
     RENORMALIZE_ATOL,
     SystemSpec,
     TheoryContext,
+    _equilibrium,
     _log_equilibrium,
-    gibbs_state,
 )
 
-W_COST_GRID_SIZE = 512
 BATTERY_SLACK = 1e-9
 
 
@@ -54,12 +53,9 @@ def _normalized(values, name: str) -> np.ndarray:
 
 
 def _check_epsilon(epsilon: float, lo_open: bool = False):
-    if lo_open:
-        if not 0.0 < epsilon < 1.0:
-            raise EpsilonOutOfRange(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    else:
-        if not 0.0 <= epsilon < 1.0:
-            raise EpsilonOutOfRange(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    if not (0.0 < epsilon < 1.0 if lo_open else 0.0 <= epsilon < 1.0):  # false for NaN too
+        raise EpsilonOutOfRange(f"epsilon must lie in {'(' if lo_open else '['}0, 1), "
+                                f"got {epsilon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +151,7 @@ def _divergence(r: np.ndarray, log_g: np.ndarray) -> float:
 def _equilibrium_divergence(state: QuasiclassicalState, ctx: TheoryContext) -> float:
     """``relative_entropy`` of r from its own equilibrium state, finite across any gap."""
     r = _normalized(state.r, "r")
-    g = _normalized(gibbs_state(state.spec, ctx).r, "g")
+    g = _normalized(_equilibrium(state.spec, ctx)[0], "g")
     return _divergence(r[r > 0], _log_equilibrium(state.spec, ctx, g)[r > 0])
 
 
@@ -174,46 +170,36 @@ def w_gain(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float) -> fl
     its own equilibrium ensemble.
     """
     _require_energy(ctx)
-    g = gibbs_state(state.spec, ctx)
-    test = HypothesisTest(state.r, g.r, epsilon)
+    test = HypothesisTest(state.r, _equilibrium(state.spec, ctx)[0], epsilon)
     return d_h_epsilon(test) / ctx.beta
 
 
-def _delta_grid_lower(log_b_many, epsilon: float, beta: float, grid_size: int) -> float:
-    """max over the delta grid of (ln delta - ln b(eps + delta)) / beta."""
-    top = 1.0 - epsilon
-    deltas = np.geomspace(top * 1e-12, top, grid_size)
-    deltas[-1] = top
-    objectives = (-log_b_many(epsilon + deltas) + np.log(deltas)) / beta
-    return float(objectives.max())
-
-
-def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
-                  grid_size: int = W_COST_GRID_SIZE) -> tuple[float, float]:
+def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext,
+                  epsilon: float) -> tuple[float, float]:
     """(lower, upper) bounds on the work needed to form the state.
 
     upper = (1/beta) [ D_H^{1-eps}(r || g) - ln((1-eps)/eps) ]
     lower = max over delta in (0, 1-eps] of
             (1/beta) [ D_H^{1-eps-delta}(r || g) - ln(1/delta) ]
 
-    The delta maximum is resolved on a logarithmic grid (default 512
-    points) whose top endpoint is exactly 1 - eps. Both values are the
-    raw formulas; the upper bound can go negative for large epsilon and
-    is reported verbatim.
+    With h = eps + delta, the Type II error b(h) is piecewise linear in h
+    and the objective is monotone on each piece, so the maximum is exact at
+    a curve breakpoint inside (eps, 1) or at h = 1. Both values are the raw
+    formulas; the upper bound can go negative for large epsilon and is
+    reported verbatim.
     """
     _require_energy(ctx)
     _check_epsilon(epsilon, lo_open=True)
-    g = gibbs_state(state.spec, ctx).r
-    r = state.r
+    r, g = state.r, _equilibrium(state.spec, ctx)[0]
     curve = curve_of(r, g)
+    heights = curve.y[(curve.y > epsilon) & (curve.y < 1.0)].tolist() + [1.0]
+    b = inverse(curve, r, g, np.array([epsilon] + heights)).tolist()
 
     # D_H^e needs detection threshold 1 - e; for e = 1 - eps that is eps.
-    b_upper = float(inverse(curve, r, g, np.array([epsilon]))[0])
-    upper = (-math.log(b_upper) - math.log((1.0 - epsilon) / epsilon)) / ctx.beta
-
-    lower = _delta_grid_lower(lambda needs: np.log(inverse(curve, r, g, needs)),
-                              epsilon, ctx.beta, grid_size)
-    return lower, upper
+    upper = (-math.log(b[0]) - math.log((1.0 - epsilon) / epsilon)) / ctx.beta
+    # libm's log, not numpy's SIMD one, which can differ in the last bit across CPUs
+    lower = max(math.log(h - epsilon) - math.log(b_h) for h, b_h in zip(heights, b[1:]))
+    return lower / ctx.beta, upper
 
 
 def resource_yield(state: QuasiclassicalState, ctx: TheoryContext) -> float:

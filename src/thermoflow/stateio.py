@@ -56,7 +56,10 @@ def _built(where: str, build, *args):
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, not {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the largest double
+        raise ValueError(f"{name} is beyond double range") from None
 
 
 def _objects(data: dict, field: str, keys: tuple, where: str) -> list:

@@ -43,6 +43,8 @@ def _as_float_vector(values, name: str, size: int | None = None) -> np.ndarray:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a list of numbers") from None
+    except OverflowError:  # a JSON integer past the largest double
+        raise ValueError(f"{name} holds a number beyond double range") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
@@ -147,33 +149,20 @@ def preset(kind: str, **params) -> TheoryContext:
         return make_context(ENTROPY)
     if kind == "helmholtz":
         return make_context(ENERGY, require("beta"))
-    if kind == "grand_potential":
-        beta = require("beta")
-        mu = require("mu")
-        if isinstance(mu, dict):
-            pairs = [(f"mu_{k}", float(v)) for k, v in mu.items()]
-        elif np.ndim(mu) == 0:
-            pairs = [("mu", float(mu))]
-        else:
-            pairs = [(f"mu_{i + 1}", float(v)) for i, v in enumerate(mu)]
-        return make_context(ENERGY, beta, pairs)
-    if kind == "gibbs":
-        beta = require("beta")
-        pressure = require("pressure")
-        if np.ndim(pressure) == 0:
-            pairs = [("-p", -float(pressure))]
-        else:
-            pairs = [(f"-p_{i + 1}", -float(v)) for i, v in enumerate(pressure)]
-        return make_context(ENERGY, beta, pairs)
-    if kind == "magnetic":
-        beta = require("beta")
-        fld = require("field")
-        if np.ndim(fld) == 0:
-            pairs = [("B", float(fld))]
-        else:
-            pairs = [(f"B_{i + 1}", float(v)) for i, v in enumerate(fld)]
-        return make_context(ENERGY, beta, pairs)
-    raise ValueError(f"unknown preset kind {kind!r}")
+    # kind -> (parameter, label, sign of the intensive value)
+    shapes = {"grand_potential": ("mu", "mu", 1.0), "gibbs": ("pressure", "-p", -1.0),
+              "magnetic": ("field", "B", 1.0)}
+    if kind not in shapes:
+        raise ValueError(f"unknown preset kind {kind!r}")
+    name, label, sign = shapes[kind]
+    beta, value = require("beta"), require(name)
+    if kind == "grand_potential" and isinstance(value, dict):
+        pairs = [(f"{label}_{k}", float(v)) for k, v in value.items()]
+    elif np.ndim(value) == 0:
+        pairs = [(label, sign * float(value))]
+    else:
+        pairs = [(f"{label}_{i + 1}", sign * float(v)) for i, v in enumerate(value)]
+    return make_context(ENERGY, beta, pairs)
 
 
 def gravitational_chemical_potential(mu: float, mass: float, gravity: float,
@@ -272,7 +261,8 @@ def equilibrium_exponents(spec: SystemSpec, ctx: TheoryContext) -> np.ndarray:
     coeffs = ctx.entropy_intensives()
     if coeffs.size == 0:
         return np.zeros(spec.dim)
-    return -(coeffs @ spec.operator_matrix())
+    with np.errstate(over="ignore"):  # _equilibrium rejects exponents that overflow
+        return -(coeffs @ spec.operator_matrix())
 
 
 def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, float]:
@@ -439,7 +429,7 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
         n=n,
         log_mult=log_mult,
         log_r=log_r,
-        log_g=k @ _log_equilibrium(state.spec, ctx, gibbs_state(state.spec, ctx).r),
+        log_g=k @ _log_equilibrium(state.spec, ctx, _equilibrium(state.spec, ctx)[0]),
     )
 
 

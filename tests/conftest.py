@@ -84,3 +84,13 @@ def majorizes(r, s, atol=1e-12):
     a = np.sort(np.asarray(r, dtype=float))[::-1].cumsum()
     b = np.sort(np.asarray(s, dtype=float))[::-1].cumsum()
     return bool(np.all(a >= b - atol))
+
+
+def relabeled(state, ctx, perm=None, shift=0.0, scale=1.0):
+    """``state`` with eigenstates permuted, every spectrum shifted by ``shift``
+    (a gauge) and scaled by ``scale``, and beta divided by ``scale``: the
+    exponents beta (x_0 - p_1 x_1 - ...) stay the same."""
+    perm = np.arange(state.dim) if perm is None else perm
+    ops = tuple((label, scale * (eig[perm] + shift)) for label, eig in state.spec.operators)
+    return (tf.QuasiclassicalState(tf.SystemSpec(state.dim, ops), state.r[perm]),
+            tf.make_context(ctx.representation, ctx.beta / scale, ctx.intensive))

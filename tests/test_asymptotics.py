@@ -14,7 +14,8 @@ from thermoflow.errors import (
     TargetIsEquilibrium,
 )
 
-from conftest import nonequilibrium_state, random_context, random_spec, random_state
+from conftest import (nonequilibrium_state, random_context, random_spec, random_state,
+                      relabeled)
 
 
 def test_free_energy_rate_vanishes_at_equilibrium():
@@ -162,6 +163,57 @@ def test_finite_n_gap_costs_exceed_gains():
         gain, (lower, upper) = tf.finite_n_gap(state, ctx, 0.01, n)
         assert upper >= gain
         assert lower <= upper
+
+
+def boundary_lower(state, ctx, eps, n):
+    """beta times the lower cost bound of n copies: the best of ln(h - eps) -
+    ln b(h) over every class boundary h inside (eps, 1), and h = 1."""
+    classes = _SortedClasses(tf.tensor_power_compressed(state, ctx, n))
+    heights = classes.cum_r[(classes.cum_r > eps) & (classes.cum_r < 1.0)]
+    heights = np.append(heights, 1.0)
+    return float((np.log(heights - eps) - classes.log_b_many(heights)).max())
+
+
+def test_finite_n_gap_lower_matches_every_class_boundary():
+    rng = np.random.default_rng(347)
+    cases = []
+    for d, n in ((2, 1), (2, 3000), (3, 7), (3, 200), (4, 40), (5, 20), (2, 500), (4, 9)):
+        ctx = random_context(rng)
+        r = rng.dirichlet(np.ones(d))
+        if n in (500, 9, 200):  # an outcome of zero probability
+            r[rng.integers(d)] = 0.0
+            r /= r.sum()
+        cases.append((tf.QuasiclassicalState(random_spec(rng, d, ctx), r), ctx, n))
+    # d = 3, n = 800: classes whose r mass underflows to 0.0 lie between eps and
+    # the maximum; reading rho from their mass would stop the bisection early
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = tf.SystemSpec(3, (("H", [0.11409534228867368, -2.108443015892206,
+                                    2.6375643792617414]),))
+    r = [0.7912077483136309, 0.10956133497875473, 0.09923091670761419]
+    cases.append((tf.QuasiclassicalState(spec, r), ctx, 800))
+    for state, ctx, n in cases:
+        for eps in (0.01, 0.11403838390122807, 0.5, 0.97, float(rng.uniform(0.01, 0.99))):
+            _, (lower, upper) = tf.finite_n_gap(state, ctx, eps, n)
+            want = boundary_lower(state, ctx, eps, n)
+            assert lower * ctx.beta == pytest.approx(want, rel=1e-12, abs=1e-12), (n, eps)
+            assert lower <= upper
+
+
+def test_finite_n_gap_invariances():
+    rng = np.random.default_rng(349)
+    for d, n in ((2, 400), (3, 30), (4, 12), (5, 6)):
+        ctx = random_context(rng)
+        state = random_state(rng, random_spec(rng, d, ctx))
+        eps = float(rng.uniform(0.01, 0.99))
+        gain, bounds = tf.finite_n_gap(state, ctx, eps, n)
+        want = np.multiply((gain, *bounds), ctx.beta)
+        for kwargs in ({"shift": float(rng.uniform(-50, 50))},
+                       {"perm": rng.permutation(d)},
+                       {"scale": float(rng.choice([0.1, 0.5, 3.0, 20.0]))}):
+            other, other_ctx = relabeled(state, ctx, **kwargs)
+            gain, bounds = tf.finite_n_gap(other, other_ctx, eps, n)
+            got = np.multiply((gain, *bounds), other_ctx.beta)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=str(kwargs))
 
 
 def reference_log_b(classes, need):

@@ -225,6 +225,52 @@ def test_exponent_span_beyond_double_range_exits_2(tmp_path):
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
 
+def test_exponents_that_overflow_exit_2_without_a_warning(tmp_path):
+    # beta * H is not a double, alone and beside a second operator
+    helmholtz = write_json(tmp_path / "far.json", {
+        "representation": "energy", "beta": 2.0, "intensive": [],
+        "operators": [{"label": "H", "eigenvalues": [1e308, 1e308]}], "r": [0.5, 0.5],
+    })
+    grand = write_json(tmp_path / "grand.json", {
+        "representation": "energy", "beta": 2.0,
+        "intensive": [{"label": "N", "value": 1.0}],
+        "operators": [{"label": "H", "eigenvalues": [1e308, 0.0]},
+                      {"label": "N", "eigenvalues": [1e308, 0.0]}], "r": [0.5, 0.5],
+    })
+    for path in (helmholtz, grand):
+        result = run_cli("gibbs", path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: equilibrium exponents span")
+        assert result.stderr.count("\n") == 1
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
+
+BEYOND_DOUBLE_RANGE = {
+    "beta": ("'beta'", {"beta": 10 ** 400}),
+    "intensive value": ("'intensive'", {"intensive": [{"label": "N", "value": -10 ** 400}]}),
+    "eigenvalue": ("'operators'", {"operators": [{"label": "H", "eigenvalues": [0, 10 ** 400]}]}),
+    "probability": ("'r'", {"r": [10 ** 400, 0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEYOND_DOUBLE_RANGE))
+def test_integers_beyond_double_range_name_the_file_and_the_field(tmp_path, case):
+    field, update = BEYOND_DOUBLE_RANGE[case]
+    payload = {"representation": "energy", "beta": 1.0, "intensive": [],
+               "operators": [{"label": "H", "eigenvalues": [0.0, 1.0]}], "r": [0.7, 0.3]}
+    payload.update(update)
+    path = write_json(tmp_path / "huge.json", payload)
+    for command in ("gibbs", "validate"):
+        result = run_cli(command, path)
+        assert result.returncode == 2, (command, result.stdout)
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: {field}"), result.stderr
+        assert "beyond double range" in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+
 def test_nan_probabilities_exit_2(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(

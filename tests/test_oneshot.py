@@ -12,9 +12,8 @@ from thermoflow.errors import (
     TooLarge,
 )
 from thermoflow.lorenz import curve_of, inverse
-from thermoflow.oneshot import W_COST_GRID_SIZE, _delta_grid_lower
 
-from conftest import pushed_state, random_context, random_spec, random_state
+from conftest import pushed_state, random_context, random_spec, random_state, relabeled
 
 
 def test_b_epsilon_full_overlap_needs_everything():
@@ -342,6 +341,27 @@ def test_curve_read_backwards_is_the_reference_greedy_test():
             assert tf.b_epsilon(test) == want
 
 
+def breakpoint_lower(r, g, eps):
+    """max of ln(h - eps) - ln b(h) over every breakpoint height of the
+    reference greedy test inside (eps, 1), and h = 1, one lookup each."""
+    heights = [h for h in np.cumsum(r[greedy_order(r, g)]).tolist() if eps < h < 1.0]
+    return max(math.log(h - eps) - math.log(greedy_b_many(r, g, np.array([h]))[0])
+               for h in heights + [1.0])
+
+
+def sampled_lower(r, g, eps, deltas):
+    """max of ln delta - ln b(eps + delta) over the given deltas."""
+    return float((np.log(deltas) - np.log(greedy_b_many(r, g, eps + deltas))).max())
+
+
+def grid_lower(r, g, eps):
+    """The 512-point logarithmic delta grid that the exact maximum replaced."""
+    top = 1.0 - eps
+    deltas = np.geomspace(top * 1e-12, top, 512)
+    deltas[-1] = top
+    return sampled_lower(r, g, eps, deltas)
+
+
 def test_work_bounds_match_the_reference_greedy_test():
     rng = np.random.default_rng(257)
     for trial in range(60):
@@ -352,9 +372,46 @@ def test_work_bounds_match_the_reference_greedy_test():
         eps = float(rng.uniform(0.01, 0.99))
         upper = (-math.log(greedy_b_many(state.r, g, np.array([eps]))[0])
                  - math.log((1.0 - eps) / eps)) / ctx.beta
-        lower = _delta_grid_lower(lambda needs: np.log(greedy_b_many(state.r, g, needs)),
-                                  eps, ctx.beta, W_COST_GRID_SIZE)
-        assert tf.w_cost_bounds(state, ctx, eps) == (lower, upper)
+        lower, got_upper = tf.w_cost_bounds(state, ctx, eps)
+        assert got_upper == upper
+        exact = lower * ctx.beta
+        assert exact == pytest.approx(breakpoint_lower(state.r, g, eps), rel=0, abs=1e-12)
+        # the maximum: no sampled delta beats it, and it sits below the upper bound
+        dense = np.linspace(0.0, 1.0 - eps, 200_001)[1:]
+        assert grid_lower(state.r, g, eps) <= exact + 1e-12
+        assert sampled_lower(state.r, g, eps, dense) <= exact + 1e-12
+        assert lower <= upper
         test = tf.HypothesisTest(state.r, g, eps)
         gain = -math.log(greedy_b_many(test.r, test.g, np.array([1.0 - eps]))[0]) + 0.0
         assert tf.w_gain(state, ctx, eps) == gain / ctx.beta
+
+
+def test_lower_cost_bound_uses_libm_logs():
+    # the value is pinned to math.log, so it cannot change with numpy's SIMD log
+    rng = np.random.default_rng(263)
+    for _ in range(100):
+        ctx = random_context(rng)
+        state = random_state(rng, random_spec(rng, int(rng.integers(2, 13)), ctx))
+        eps = float(rng.uniform(0.01, 0.99))
+        g = tf.gibbs_state(state.spec, ctx).r
+        curve = curve_of(state.r, g)
+        heights = [h for h in curve.y.tolist() if eps < h < 1.0] + [1.0]
+        b = [float(inverse(curve, state.r, g, np.array([h]))[0]) for h in heights]
+        want = max(math.log(h - eps) - math.log(b_h) for h, b_h in zip(heights, b)) / ctx.beta
+        assert tf.w_cost_bounds(state, ctx, eps)[0] == want
+
+
+def test_work_bounds_invariances():
+    rng = np.random.default_rng(269)
+    for _ in range(60):
+        ctx = random_context(rng)
+        state = random_state(rng, random_spec(rng, int(rng.integers(2, 10)), ctx))
+        eps = float(rng.uniform(0.01, 0.99))
+        want = np.multiply(tf.w_cost_bounds(state, ctx, eps), ctx.beta)
+        for kwargs in ({"shift": float(rng.uniform(-50, 50))},
+                       {"perm": rng.permutation(state.dim)},
+                       {"scale": float(rng.choice([0.1, 0.5, 3.0, 20.0]))}):
+            other, other_ctx = relabeled(state, ctx, **kwargs)
+            got = np.multiply(tf.w_cost_bounds(other, other_ctx, eps), other_ctx.beta)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(kwargs))
+

@@ -174,6 +174,17 @@ def test_exponent_span_beyond_double_range_raises_overflow():
             call(spec, ctx)
 
 
+def test_exponents_that_overflow_raise_without_a_warning():
+    # RuntimeWarning is an error under tier-1, so a warning would fail here
+    cases = ((tf.preset("helmholtz", beta=2.0), tf.SystemSpec(2, (("H", [1e308, 1e308]),))),
+             (tf.preset("grand_potential", beta=2.0, mu=1.0),
+              tf.SystemSpec(2, (("H", [1e308, 0.0]), ("N", [1e308, 0.0])))))
+    for ctx, spec in cases:
+        for call in (tf.gibbs_state, tf.log_partition_function):
+            with pytest.raises(OverflowError, match="exponents span"):
+                call(spec, ctx)
+
+
 def test_compose_with_trivial_system_is_identity():
     rng = np.random.default_rng(3)
     ctx = tf.preset("helmholtz", beta=1.0)
