@@ -10,12 +10,13 @@ for small d. One bisection over the classes finds the best delta.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsilonOutOfRange, TargetIsEquilibrium
+from .errors import TargetIsEquilibrium
 from .oneshot import (
     _check_epsilon,
     _equilibrium_divergence,
@@ -58,25 +59,27 @@ class _SortedClasses:
         self.cum_r = np.cumsum(self.r_mass)
         self.log_g_mass = (cs.log_mult + cs.log_g)[order]
         self.prefix_log_g = np.logaddexp.accumulate(self.log_g_mass)
+        # every class before the ratio -inf tail, also one whose r mass underflowed to 0
+        live = bisect.bisect_left(order, True, key=lambda i: ratio[i] == -math.inf)
+        self.log_b_all = float(self.prefix_log_g[live - 1])
 
     def log_b(self, need: float) -> float:
-        return float(self.log_b_many(np.array([need]))[0])
+        """ln b at threshold ``need``; at or past min(total r, 1), every class of r > 0."""
+        return self.log_b_all if need >= min(self.cum_r[-1], 1.0) else self._log_b_reached(need)
 
-    def log_b_many(self, needs: np.ndarray) -> np.ndarray:
-        out = np.empty(needs.size)
-        exhausted = needs >= self.cum_r[-1]
-        if exhausted.any():
-            # every class that carries probability must be accepted
-            out[exhausted] = np.logaddexp.reduce(self.log_g_mass[self.r_mass > 0.0])
-        live = needs[~exhausted]
-        k = np.searchsorted(self.cum_r, live, side="left")
-        prev_r = np.where(k > 0, self.cum_r[k - 1], 0.0)
-        prev_log_g = np.where(k > 0, self.prefix_log_g[k - 1], -np.inf)
-        frac = np.clip((live - prev_r) / self.r_mass[k], 0.0, 1.0)
+    def _log_b_reached(self, need: float) -> float:
+        """ln b where the cumulated r mass first reaches ``need``; past the r
+        total, that of the classes with r mass."""
+        if need >= self.cum_r[-1]:
+            return float(np.logaddexp.reduce(self.log_g_mass[self.r_mass > 0.0]))
+        k = int(np.searchsorted(self.cum_r, need, side="left"))
+        prev_r = self.cum_r[k - 1] if k > 0 else 0.0
+        prev_log_g = self.prefix_log_g[k - 1] if k > 0 else -math.inf
+        frac = min(max((need - prev_r) / self.r_mass[k], 0.0), 1.0)
+        if frac == 0.0:
+            return float(prev_log_g)
         # libm's log, not numpy's SIMD one, which can differ in the last bit across CPUs
-        log_frac = np.array([-math.inf if f == 0.0 else math.log(f) for f in frac.tolist()])
-        out[~exhausted] = np.logaddexp(prev_log_g, log_frac + self.log_g_mass[k])
-        return out
+        return float(np.logaddexp(prev_log_g, math.log(frac) + self.log_g_mass[k]))
 
     def max_lower_objective(self, epsilon: float) -> float:
         """max over h in (eps, 1] of ln(h - eps) - ln b(h), b at threshold h.
@@ -99,7 +102,9 @@ class _SortedClasses:
             else:
                 hi = mid - 1
         if lo > last:
-            return math.log(1.0 - epsilon) - self.log_b(1.0)
+            # Rising up to h = 1. Classes past a rounded r total of 1, or whose r
+            # mass underflowed, add g but no height, so they only lower the objective.
+            return math.log(1.0 - epsilon) - self._log_b_reached(1.0)
         k = int(np.searchsorted(cum_r, cum_r[lo - 1], side="left"))
         return math.log(cum_r[k] - epsilon) - float(self.prefix_log_g[k])
 
@@ -130,18 +135,17 @@ def free_energy_rate(state: QuasiclassicalState, ctx: TheoryContext) -> float:
 
 
 def aep_sweep(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
-              n_list, max_classes: int | None = None) -> AepSweep:
+              n_list) -> AepSweep:
     """Per-copy D_H^epsilon over tensor powers for each n in ``n_list``.
 
     The per-copy values converge to the relative-entropy limit reported
     alongside the rows; epsilon must lie strictly inside (0, 1).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise EpsilonOutOfRange(f"the sweep needs epsilon in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon, lo_open=True)
     limit = _equilibrium_divergence(state, ctx)
     rows = []
     for n in sorted(int(n) for n in n_list):
-        cs = tensor_power_compressed(state, ctx, n, max_classes)
+        cs = tensor_power_compressed(state, ctx, n)
         rows.append((n, compressed_d_h_epsilon(cs, epsilon) / n))
     return AepSweep(epsilon=epsilon, rows=tuple(rows), limit=limit)
 
@@ -160,7 +164,7 @@ def conversion_rate(source: QuasiclassicalState, target: QuasiclassicalState,
 
 
 def finite_n_gap(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
-                 n: int, max_classes: int | None = None):
+                 n: int):
     """Total n-copy work yield and ``w_cost_bounds``: (gain_n, (lower_n, upper_n)).
 
     Totals are reported, not per-copy values, so the square-root-of-n gap
@@ -168,7 +172,7 @@ def finite_n_gap(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
     """
     _require_energy(ctx)
     _check_epsilon(epsilon, lo_open=True)
-    classes = _SortedClasses(tensor_power_compressed(state, ctx, n, max_classes))
+    classes = _SortedClasses(tensor_power_compressed(state, ctx, n))
     gain = -classes.log_b(1.0 - epsilon) / ctx.beta + 0.0
     upper = (-classes.log_b(epsilon) - math.log((1.0 - epsilon) / epsilon)) / ctx.beta
     return gain, (classes.max_lower_objective(epsilon) / ctx.beta, upper)

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ORACLE_DIM_DEFAULT, oracle_dim_cap
 from .errors import ContextMismatch, TooLarge
 from .lorenz import build_curve, compare, curve_of, dominates
 from .simplex import solve_standard_lp
 from .theory import QuasiclassicalState, TheoryContext, _equilibrium, compose, gibbs_state
 
 WITNESS_ATOL = 1e-9
+# Per-side dimension cap for the simplex-based feasibility oracle.
+ORACLE_DIM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,8 @@ def feasibility_oracle(q: ConversionQuery):
     which fixes g_S (x) g_T and maps r (x) g_T to g_S (x) s.
     """
     _check_query(q)
-    cap = oracle_dim_cap(ORACLE_DIM_DEFAULT)
-    if q.source.dim > cap or q.target.dim > cap:
-        raise TooLarge(f"oracle capped at dimension {cap} per side, "
+    if q.source.dim > ORACLE_DIM_CAP or q.target.dim > ORACLE_DIM_CAP:
+        raise TooLarge(f"oracle capped at dimension {ORACLE_DIM_CAP} per side, "
                        f"got {q.source.dim} and {q.target.dim}")
     r, s = q.source.r, q.target.r
     g_src, g_tgt = (_equilibrium(side.spec, q.ctx)[0] for side in (q.source, q.target))

@@ -42,7 +42,7 @@ class OutOfDomain(ThermoflowError):
 
 
 class TooLarge(ThermoflowError):
-    """Problem size exceeds the cap configured for an exact oracle."""
+    """Problem size exceeds the fixed cap of an exact oracle or a tensor power."""
 
 
 class EpsilonOutOfRange(ThermoflowError):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import VERTEX_DIM_DEFAULT, oracle_dim_cap
 from .errors import (
     DimensionMismatch,
     EnergyRepresentation,
@@ -38,6 +37,8 @@ from .theory import (
 )
 
 BATTERY_SLACK = 1e-9
+# Dimension cap for vertex enumeration (2^d subsets are visited).
+VERTEX_DIM_CAP = 18
 
 
 def _normalized(values, name: str) -> np.ndarray:
@@ -78,10 +79,12 @@ def b_epsilon(test: HypothesisTest) -> float:
     """Least achievable Type II error probability.
 
     Exact optimum of the commuting-case program {0 <= q <= 1,
-    sum q r >= 1 - epsilon, minimize sum q g}, reached greedily.
+    sum q r >= 1 - epsilon, minimize sum q g}, reached greedily. Threshold 1
+    accepts all of supp r, even where the rounded r total passes 1 before it.
     """
+    need = 1.0 - test.epsilon
     curve = curve_of(test.r, test.g)
-    return float(inverse(curve, test.r, test.g, np.array([1.0 - test.epsilon]))[0])
+    return float(inverse(curve, test.r, test.g, np.array([need if need < 1.0 else math.inf]))[0])
 
 
 def d_h_epsilon(test: HypothesisTest) -> float:
@@ -98,9 +101,8 @@ def vertex_oracle(test: HypothesisTest) -> float:
     fractional fill is exhaustive. Exponential in d; capped.
     """
     d = test.r.size
-    cap = oracle_dim_cap(VERTEX_DIM_DEFAULT)
-    if d > cap:
-        raise TooLarge(f"vertex enumeration capped at dimension {cap}, got {d}")
+    if d > VERTEX_DIM_CAP:
+        raise TooLarge(f"vertex enumeration capped at dimension {VERTEX_DIM_CAP}, got {d}")
     r, g = test.r, test.g
     need = 1.0 - test.epsilon
     masks = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1).astype(float)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_TYPE_CLASSES
 from .errors import (
     DimensionMismatch,
     EntropyRepresentation,
@@ -36,6 +35,8 @@ RENORMALIZE_ATOL = 1e-9
 # Probabilities above this count as support for the eigensubspace predicate
 # (below double-precision resolution of accumulated products).
 SUPPORT_ATOL = 1e-15
+# Cap on the number of type classes a compressed tensor power may hold.
+MAX_TYPE_CLASSES = 1_000_000
 
 
 def _as_float_vector(values, name: str, size: int | None = None) -> np.ndarray:
@@ -397,28 +398,22 @@ def _type_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return k, log_mult
 
 
-def _compositions(n: int, d: int) -> np.ndarray:
-    """The rows of ``_type_classes(n, d)`` as int64."""
-    return _type_classes(n, d)[0].astype(np.int64)
-
-
 def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
-                            n: int, max_classes: int | None = None) -> CompressedState:
+                            n: int) -> CompressedState:
     """n-fold product of ``state`` grouped by type class.
 
-    The class count is binomial(n + d - 1, d - 1); anything above
-    ``max_classes`` (default one million classes) raises TooLarge rather
-    than exhausting memory. log prod r^k and log prod g^k read one float64
-    count matrix; multinomial logs come from a cumulative log-factorial
-    table, so total r and g masses are conserved to well within 1e-9.
+    The class count is binomial(n + d - 1, d - 1); anything above one
+    million classes raises TooLarge rather than exhausting memory. log prod
+    r^k and log prod g^k read one float64 count matrix; multinomial logs
+    come from a cumulative log-factorial table, so total r and g masses are
+    conserved to well within 1e-9.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    cap = MAX_TYPE_CLASSES if max_classes is None else max_classes
     d = state.dim
     count = math.comb(n + d - 1, d - 1)
-    if count > cap:
-        raise TooLarge(f"{count} type classes exceed the cap of {cap}")
+    if count > MAX_TYPE_CLASSES:
+        raise TooLarge(f"{count} type classes exceed the cap of {MAX_TYPE_CLASSES}")
     k, log_mult = _type_classes(n, d)
     dead = state.r <= 0.0
     log_r = k @ np.log(np.where(dead, 1.0, state.r))

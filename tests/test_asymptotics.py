@@ -109,10 +109,21 @@ def test_compressed_greedy_matches_explicit_products():
             r_n = np.kron(r_n, state.r)
             g_n = np.kron(g_n, g.r)
         cs = tf.tensor_power_compressed(state, ctx, n)
-        for eps in (0.05, 0.3, 0.8):
+        for eps in (0.0, 0.05, 0.3, 0.8):
             explicit = tf.d_h_epsilon(tf.HypothesisTest(r_n, g_n, eps))
             compressed = tf.compressed_d_h_epsilon(cs, eps)
             assert compressed == pytest.approx(explicit, abs=1e-10)
+
+
+@pytest.mark.parametrize("r", [[0.9, 0.1], [0.999, 0.001]])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_compressed_d_h_at_zero_of_full_support_is_zero(r, n):
+    # g = [0.01, 0.99]: the last classes hold r mass near the rounding error of
+    # the cumulative r total and most of the g mass, and threshold 1 needs them all
+    ctx = tf.preset("helmholtz", beta=1.0)
+    state = tf.QuasiclassicalState(tf.SystemSpec(2, (("H", [math.log(99.0), 0.0]),)), r)
+    cs = tf.tensor_power_compressed(state, ctx, n)
+    assert tf.compressed_d_h_epsilon(cs, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conversion_rate_identity_and_halving():
@@ -171,7 +182,10 @@ def boundary_lower(state, ctx, eps, n):
     classes = _SortedClasses(tf.tensor_power_compressed(state, ctx, n))
     heights = classes.cum_r[(classes.cum_r > eps) & (classes.cum_r < 1.0)]
     heights = np.append(heights, 1.0)
-    return float((np.log(heights - eps) - classes.log_b_many(heights)).max())
+    # b where the r mass reaches h, as the bound reads it: at h = 1 that leaves
+    # out classes past a rounded r total of 1, which D_H^0's log_b accepts
+    log_b = np.array([classes._log_b_reached(float(h)) for h in heights])
+    return float((np.log(heights - eps) - log_b).max())
 
 
 def test_finite_n_gap_lower_matches_every_class_boundary():
@@ -199,6 +213,23 @@ def test_finite_n_gap_lower_matches_every_class_boundary():
             assert lower <= upper
 
 
+def test_lower_cost_bound_stops_where_the_rounded_r_total_reaches_1():
+    # r = [1, 6e-17]: the all-0 class alone carries r mass 1.0, and the later
+    # classes add r only at rounding size but most of g. The lower bound's
+    # maximum stays at the end of that class, ln(1 - eps) - n ln g_0, while
+    # D_H^0 accepts every class (b = 1).
+    ctx = tf.preset("helmholtz", beta=1.0)
+    state = tf.QuasiclassicalState(tf.SystemSpec(2, (("H", [0.25, 0.0]),)), [1.0, 6e-17])
+    log_g0 = -math.log1p(math.exp(0.25))
+    for n in (500, 2000):
+        for eps in (0.1, 0.5):
+            _, (lower, upper) = tf.finite_n_gap(state, ctx, eps, n)
+            assert lower == pytest.approx(math.log(1.0 - eps) - n * log_g0, rel=1e-12)
+            assert lower <= upper
+        cs = tf.tensor_power_compressed(state, ctx, n)  # masses conserved to 1e-9
+        assert tf.compressed_d_h_epsilon(cs, 0.0) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_finite_n_gap_invariances():
     rng = np.random.default_rng(349)
     for d, n in ((2, 400), (3, 30), (4, 12), (5, 6)):
@@ -217,10 +248,10 @@ def test_finite_n_gap_invariances():
 
 
 def reference_log_b(classes, need):
-    """The scalar per-threshold lookup that log_b_many replaced."""
+    """The scalar per-threshold lookup, kept as a reference for ``log_b``."""
     if not np.any(classes.r_mass > 0.0):
         return -math.inf
-    if need >= classes.cum_r[-1]:
+    if need >= min(classes.cum_r[-1], 1.0):
         return float(np.logaddexp.reduce(classes.log_g_mass[classes.r_mass > 0.0]))
     k = int(np.searchsorted(classes.cum_r, need, side="left"))
     prev_r = classes.cum_r[k - 1] if k > 0 else 0.0
@@ -249,9 +280,9 @@ def test_log_b_many_matches_scalar_lookup():
             np.nextafter(classes.cum_r, 2.0),
             np.linspace(0.0, 1.0, 257),
         ])
+        got = np.array([classes.log_b(float(v)) for v in needs])
         expected = np.array([reference_log_b(classes, float(v)) for v in needs])
-        np.testing.assert_array_equal(classes.log_b_many(needs), expected)
-        assert classes.log_b(0.5) == reference_log_b(classes, 0.5)
+        np.testing.assert_array_equal(got, expected)
         # an r with a zero entry gives classes of ratio -inf and no mass
         assert np.any(classes.r_mass == 0.0) == (min(r) == 0.0)
 

@@ -106,6 +106,21 @@ def test_d_h_at_zero_is_support_mass():
     assert tf.d_h_epsilon(t) == pytest.approx(-math.log(g[0] + g[1]), abs=1e-12)
 
 
+def test_d_h_at_zero_keeps_a_tiny_r_tail():
+    # The last outcome has r down to 1e-17 but most of g. The rounded r total can
+    # pass 1 before the tail is reached; threshold 1 must still accept all of supp r.
+    rng = np.random.default_rng(5)
+    for _ in range(20000):
+        d = int(rng.integers(3, 9))
+        tail = 10.0 ** rng.uniform(-17.0, -12.0)
+        r = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - tail), tail)
+        g_last = rng.uniform(0.5, 0.99)
+        g = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - g_last), g_last)
+        t = tf.HypothesisTest(r, g, 0.0)
+        want = -math.log(t.g[t.r > 0].sum())
+        assert tf.d_h_epsilon(t) == pytest.approx(want, abs=1e-9)
+
+
 def test_epsilon_one_rejected():
     with pytest.raises(EpsilonOutOfRange):
         tf.HypothesisTest([1.0], [1.0], 1.0)
@@ -337,7 +352,9 @@ def test_curve_read_backwards_is_the_reference_greedy_test():
         assert np.array_equal(inverse(curve, r, g, needs), greedy_b_many(r, g, needs))
         for eps in (0.0, 0.05, float(rng.uniform(0, 1))):
             test = tf.HypothesisTest(r, g, eps)
-            want = greedy_b_many(test.r, test.g, np.array([1.0 - eps]))[0]
+            # threshold 1 accepts all of supp r, also past a rounded r total above 1
+            need = 1.0 - eps if eps > 0.0 else np.inf
+            want = greedy_b_many(test.r, test.g, np.array([need]))[0]
             assert tf.b_epsilon(test) == want
 
 

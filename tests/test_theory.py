@@ -286,8 +286,9 @@ def test_tensor_power_conserves_mass():
 def test_tensor_power_cap():
     ctx = tf.preset("entropy")
     state = tf.QuasiclassicalState(tf.SystemSpec(4), [0.25] * 4)
-    with pytest.raises(TooLarge):
-        tf.tensor_power_compressed(state, ctx, 1000, max_classes=1000)
+    # 167,668,501 classes, refused before any allocation
+    with pytest.raises(TooLarge, match="167668501 type classes exceed the cap of 1000000"):
+        tf.tensor_power_compressed(state, ctx, 1000)
 
 
 def reference_compositions(n, d):
@@ -304,19 +305,16 @@ def reference_compositions(n, d):
 
 
 def test_compositions_match_divider_enumeration():
-    from thermoflow.theory import _compositions
-
     for d in range(1, 6):
         for n in (1, 2, 3, 7, 16, 30):
-            got = _compositions(n, d)
+            got = theory._type_classes(n, d)[0]
             expected = reference_compositions(n, d)
-            assert got.dtype == expected.dtype
             # same rows in the same order: downstream tie-breaking relies on it
             np.testing.assert_array_equal(got, expected)
             assert got.shape[0] == math.comb(n + d - 1, d - 1)
 
 
-def reference_tensor_power(state, ctx, n, max_classes=None):
+def reference_tensor_power(state, ctx, n):
     """The integer-matrix builder the column-wise expansion replaced:
     column_stack compositions, a gathered log-factorial row sum and a
     masked matmul per vector."""
