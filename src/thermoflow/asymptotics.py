@@ -68,10 +68,12 @@ class _SortedClasses:
         return self.log_b_all if need >= min(self.cum_r[-1], 1.0) else self._log_b_reached(need)
 
     def _log_b_reached(self, need: float) -> float:
-        """ln b where the cumulated r mass first reaches ``need``; past the r
-        total, that of the classes with r mass."""
+        """ln b where the cumulated r mass first reaches ``need``; at or past
+        the r total, that of the classes with r mass up to the first class
+        that reaches the total (later ones add r only below rounding)."""
         if need >= self.cum_r[-1]:
-            return float(np.logaddexp.reduce(self.log_g_mass[self.r_mass > 0.0]))
+            top = int(np.searchsorted(self.cum_r, self.cum_r[-1], side="left")) + 1
+            return float(np.logaddexp.reduce(self.log_g_mass[:top][self.r_mass[:top] > 0.0]))
         k = int(np.searchsorted(self.cum_r, need, side="left"))
         prev_r = self.cum_r[k - 1] if k > 0 else 0.0
         prev_log_g = self.prefix_log_g[k - 1] if k > 0 else -math.inf

@@ -83,27 +83,24 @@ def _check_query(q: ConversionQuery):
 
 
 def _same_table(a, b) -> bool:
-    if a.dim != b.dim:
-        return False
-    return all(
-        np.array_equal(ea, eb)
-        for (_, ea), (_, eb) in zip(a.operators, b.operators)
-    )
+    """Equal eigenvalue tables; labels and operator counts are checked by ``_check_query``."""
+    return np.array_equal(a.operator_matrix(), b.operator_matrix())
 
 
 def can_convert(q: ConversionQuery) -> bool:
     """Whether some equilibrating operation maps source to target.
 
-    States over the same operator table are compared directly. Otherwise
+    States over the same operator table share one equilibrium state, which
+    is computed once, and their curves are compared directly. Otherwise
     each side is padded with the other side's equilibrium state, which
     puts both on one joint table without changing the answer.
     """
     _check_query(q)
     if _same_table(q.source.spec, q.target.spec):
-        left, right = q.source, q.target
-    else:
-        left = compose(q.source, gibbs_state(q.target.spec, q.ctx))
-        right = compose(gibbs_state(q.source.spec, q.ctx), q.target)
+        g, log_z = _equilibrium(q.source.spec, q.ctx)
+        return dominates(curve_of(q.source.r, g, log_z), curve_of(q.target.r, g, log_z))
+    left = compose(q.source, gibbs_state(q.target.spec, q.ctx))
+    right = compose(gibbs_state(q.source.spec, q.ctx), q.target)
     return dominates(build_curve(left, q.ctx), build_curve(right, q.ctx))
 
 

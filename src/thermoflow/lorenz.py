@@ -39,7 +39,7 @@ class LorenzCurve:
     def __post_init__(self):
         for name in ("u", "y", "source_order"):
             arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -62,8 +62,8 @@ class LorenzCurve:
 class DominationResult:
     """Outcome of a curve comparison.
 
-    ``min_margin`` is the worst value of A(u) - B(u) over the union of
-    breakpoints. ``near_tie`` flags a dip so shallow (within 1e-10 of the
+    ``min_margin`` is the worst value of A(u) - B(u) over the breakpoints
+    of both curves. ``near_tie`` flags a dip so shallow (within 1e-10 of the
     boundary) that the verdict is sensitive to the tolerance choice.
     """
 
@@ -77,9 +77,10 @@ def curve_of(r: np.ndarray, g: np.ndarray, log_width: float = 0.0) -> LorenzCurv
     ratios keep index order (the shape does not depend on tie order)."""
     with np.errstate(over="ignore"):  # a subnormal g gives r/g = inf, which sorts right
         ratio = np.divide(r, g, out=np.full(r.size, np.inf), where=g > 0)
-    order = np.argsort(-ratio, kind="stable")
-    u = np.concatenate(([0.0], np.cumsum(g[order])))
-    y = np.concatenate(([0.0], np.cumsum(r[order])))
+    order = (-ratio).argsort(kind="stable")
+    u, y = np.zeros(r.size + 1), np.zeros(r.size + 1)
+    np.add.accumulate(g[order], out=u[1:])
+    np.add.accumulate(r[order], out=y[1:])
     return LorenzCurve(u, y, order, log_width)
 
 
@@ -92,15 +93,28 @@ def build_curve(state: QuasiclassicalState, ctx: TheoryContext) -> LorenzCurve:
 def inverse(curve: LorenzCurve, r: np.ndarray, g: np.ndarray,
             heights: np.ndarray) -> np.ndarray:
     """Least u where the curve of (r, g) reaches each height: the greedy test's
-    Type II error, with steps read from r and g, not breakpoint differences."""
+    Type II error, with steps read from r and g, not breakpoint differences.
+
+    A height at or past the top of the curve takes the steps of r > 0 up to
+    the first breakpoint at the top: steps after it add r only below rounding
+    and no height. Only +inf takes every step of r > 0, all of supp r.
+    """
     rs, gs = r[curve.source_order], g[curve.source_order]
-    out = np.empty(heights.size)
     exhausted = heights >= curve.y[-1]
-    out[exhausted] = gs[rs > 0].sum()
-    live = heights[~exhausted]
-    k = np.searchsorted(curve.y[1:], live, side="left")
-    frac = np.clip((live - curve.y[k]) / rs[k], 0.0, 1.0)
-    out[~exhausted] = curve.u[k] + frac * gs[k]
+    any_exhausted = exhausted.any()
+    live = heights[~exhausted] if any_exhausted else heights
+    k = curve.y[1:].searchsorted(live, side="left")
+    frac = np.minimum(np.maximum((live - curve.y[k]) / rs[k], 0.0), 1.0)
+    b = curve.u[k] + frac * gs[k]
+    if not any_exhausted:
+        return b
+    out = np.empty(heights.size)
+    out[~exhausted] = b
+    support = rs > 0
+    top = int(curve.y.searchsorted(curve.y[-1]))
+    out[exhausted] = gs[:top][support[:top]].sum()
+    if support[top:].any():
+        out[heights == math.inf] = gs[support].sum()
     return out
 
 
@@ -115,13 +129,14 @@ def evaluate(curve: LorenzCurve, x: float) -> float:
 def compare(a: LorenzCurve, b: LorenzCurve) -> DominationResult:
     """Does curve ``a`` stay on or above curve ``b``?
 
-    Both curves are piecewise linear, so checking the union of their
-    breakpoints on the unit axis is sufficient.
+    Both curves are piecewise linear, so checking the breakpoints of both on
+    the unit axis is sufficient. They are evaluated as listed, one after the
+    other: a point in both lists is checked twice, which changes no minimum.
     """
     if abs(a.log_width - b.log_width) > WIDTH_ATOL:
         raise WidthMismatch(f"curve widths differ: ln Z {a.log_width!r} vs {b.log_width!r}")
-    grid = np.union1d(a.u, b.u)
-    grid = np.clip(grid, 0.0, min(a.u[-1], b.u[-1]))
+    # u >= 0 by construction, so only the end needs clipping
+    grid = np.minimum(np.concatenate((a.u, b.u)), min(a.u[-1], b.u[-1]))
     margins = np.interp(grid, a.u, a.y) - np.interp(grid, b.u, b.y)
     worst = float(margins.min())
     return DominationResult(

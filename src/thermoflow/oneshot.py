@@ -43,12 +43,13 @@ VERTEX_DIM_CAP = 18
 
 def _normalized(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if not np.all(arr >= 0):  # false for NaN too
+    if not (arr >= 0).all():  # false for NaN too
         raise NormalizationError(f"{name} must be finite and nonnegative")
     total = arr.sum()
     if abs(total - 1.0) > RENORMALIZE_ATOL:
         raise NormalizationError(f"{name} sums to {total!r}, too far from 1")
-    arr /= total
+    if total != 1.0:  # x / 1.0 is x
+        arr /= total
     arr.flags.writeable = False
     return arr
 
@@ -186,7 +187,8 @@ def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext,
 
     With h = eps + delta, the Type II error b(h) is piecewise linear in h
     and the objective is monotone on each piece, so the maximum is exact at
-    a curve breakpoint inside (eps, 1) or at h = 1. Both values are the raw
+    a curve breakpoint inside (eps, 1) or at h = 1, which is read where the
+    curve first reaches it (``lorenz.inverse``). Both values are the raw
     formulas; the upper bound can go negative for large epsilon and is
     reported verbatim.
     """

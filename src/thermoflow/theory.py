@@ -48,7 +48,7 @@ def _as_float_vector(values, name: str, size: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} holds a number beyond double range") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     if size is not None and arr.size != size:
         raise DimensionMismatch(f"{name} must have {size} entries, not {arr.size}")
@@ -232,14 +232,14 @@ class QuasiclassicalState:
             raise DimensionMismatch(
                 f"state vector has length {arr.size}, spec dimension is {self.spec.dim}"
             )
-        if not np.all(arr >= -NORMALIZATION_ATOL):  # false for NaN too
+        if not (arr >= -NORMALIZATION_ATOL).all():  # false for NaN too
             raise NormalizationError("probabilities must be finite and nonnegative")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
+        np.maximum(arr, 0.0, out=arr)
+        total = float(arr.sum())
         if abs(total - 1.0) > RENORMALIZE_ATOL:
-            raise NormalizationError(f"probabilities sum to {float(total)!r}, too far from 1")
+            raise NormalizationError(f"probabilities sum to {total!r}, too far from 1")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
-            arr = arr / total
+            arr /= total
         arr.flags.writeable = False
         object.__setattr__(self, "r", arr)
 
@@ -273,9 +273,11 @@ def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, floa
     if not math.isfinite(float(e.min()) - m):
         raise OverflowError(f"equilibrium exponents span [{float(e.min())!r}, {m!r}], "
                             "wider than double range")
-    w = np.exp(e - m)
+    e -= m
+    w = np.exp(e, out=e)
     total = w.sum()
-    return w / total, m + math.log(total)
+    w /= total
+    return w, m + math.log(total)
 
 
 def _log_equilibrium(spec: SystemSpec, ctx: TheoryContext, g: np.ndarray) -> np.ndarray:

@@ -230,6 +230,25 @@ def test_lower_cost_bound_stops_where_the_rounded_r_total_reaches_1():
         assert tf.compressed_d_h_epsilon(cs, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_lower_cost_bound_stops_where_the_r_total_first_rounds_to_1():
+    # r = [1, 1e-19]: every class past the all-0 one adds r below rounding, so
+    # the r total stays exactly 1.0 from the first class on. The maximum is
+    # ln(1 - eps) - n ln g_0 there; counting the later classes' g gave
+    # -0.693 at n = 1 and 332.59 at n = 500.
+    ctx = tf.preset("helmholtz", beta=1.0)
+    state = tf.QuasiclassicalState(tf.SystemSpec(2, (("H", [0.25, 0.0]),)), [1.0, 1e-19])
+    log_g0 = -math.log1p(math.exp(0.25))
+    for n, want in ((1, 0.1328), (500, 412.28)):
+        classes = _SortedClasses(tf.tensor_power_compressed(state, ctx, n))
+        assert classes.cum_r[-1] == 1.0
+        _, (lower, upper) = tf.finite_n_gap(state, ctx, 0.5, n)
+        assert lower == pytest.approx(math.log(0.5) - n * log_g0, rel=1e-12)
+        assert lower == pytest.approx(want, abs=5e-3)
+        assert lower <= upper
+    w_lower = tf.w_cost_bounds(state, ctx, 0.5)[0]
+    assert w_lower == pytest.approx(tf.finite_n_gap(state, ctx, 0.5, 1)[1][0], rel=1e-12)
+
+
 def test_finite_n_gap_invariances():
     rng = np.random.default_rng(349)
     for d, n in ((2, 400), (3, 30), (4, 12), (5, 6)):

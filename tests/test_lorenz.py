@@ -5,7 +5,15 @@ import pytest
 
 import thermoflow as tf
 from thermoflow.errors import OutOfDomain, WidthMismatch
-from thermoflow.theory import equilibrium_exponents
+from thermoflow.lorenz import (
+    DOMINATION_ATOL,
+    NEAR_TIE_BAND,
+    DominationResult,
+    LorenzCurve,
+    compare,
+    curve_of,
+)
+from thermoflow.theory import _equilibrium, equilibrium_exponents
 
 from conftest import random_context, random_spec, random_state
 
@@ -197,3 +205,91 @@ def test_width_check_is_relative_below_one():
     assert a.width < 1e-12 and b.width < 1e-12
     with pytest.raises(WidthMismatch):
         tf.compare(a, b)
+
+
+# --- References: the curve build, the curve comparison and the shared-table
+# decision as they were before each was cut to fewer numpy calls (a separate
+# concatenate + cumsum per axis, a sorted union of breakpoints clipped at both
+# ends, and one equilibrium and one curve build per side). The fast ones must
+# return every bit these do.
+
+def reference_curve_of(r, g, log_width=0.0):
+    with np.errstate(over="ignore"):
+        ratio = np.divide(r, g, out=np.full(r.size, np.inf), where=g > 0)
+    order = np.argsort(-ratio, kind="stable")
+    u = np.concatenate(([0.0], np.cumsum(g[order])))
+    y = np.concatenate(([0.0], np.cumsum(r[order])))
+    return LorenzCurve(u, y, order, log_width)
+
+
+def reference_compare(a, b):
+    grid = np.union1d(a.u, b.u)
+    grid = np.clip(grid, 0.0, min(a.u[-1], b.u[-1]))
+    margins = np.interp(grid, a.u, a.y) - np.interp(grid, b.u, b.y)
+    worst = float(margins.min())
+    return DominationResult(worst >= -DOMINATION_ATOL, worst, -NEAR_TIE_BAND <= worst < 0.0)
+
+
+def reference_can_convert_on_a_shared_table(q):
+    curves = [reference_curve_of(side.r, *_equilibrium(side.spec, q.ctx))
+              for side in (q.source, q.target)]
+    return reference_compare(*curves).dominates
+
+
+def edge_case_pair(rng, trial):
+    """A context, one operator table and two states on it, cycling through
+    d = 1 to 12, zero r entries, g = 0 and subnormal g (beta dE of 705 to 800),
+    tied ratios on degenerate levels and gauge shifts of +-800."""
+    beta = float(rng.uniform(0.5, 2.0))
+    ctx = tf.preset("helmholtz", beta=beta)
+    d = trial % 12 + 1
+    kind = trial // 12 % 4
+    if kind == 1:  # degenerate levels; r proportional to g on some of them
+        energies = rng.choice([-1.0, 0.0, 0.5], d)
+    else:
+        energies = rng.uniform(-2.0, 2.0, d)
+    if kind == 2 and d > 1:  # g underflows to a subnormal or to 0
+        energies[rng.integers(d)] += float(rng.uniform(705.0, 800.0)) / beta
+    if kind == 3:
+        energies += float(rng.choice([800.0, -800.0]))
+    spec = tf.SystemSpec(d, (("H", energies),))
+    g = _equilibrium(spec, ctx)[0]
+
+    def draw():
+        r = rng.dirichlet(np.full(d, float(rng.choice([0.3, 1.0, 3.0]))))
+        if d > 1 and rng.random() < 0.3:
+            r[rng.choice(d, size=int(rng.integers(1, d)), replace=False)] = 0.0
+        if kind == 1 and rng.random() < 0.5:
+            r = g * rng.choice([1.0, 2.0], d)
+        return tf.QuasiclassicalState(spec, r / r.sum())
+
+    return ctx, spec, draw(), draw()
+
+
+def assert_same_curve(got, want):
+    for name in ("u", "y", "source_order"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.log_width == want.log_width
+
+
+def test_curves_and_comparisons_match_the_references_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for trial in range(480):
+        ctx, spec, source, target = edge_case_pair(rng, trial)
+        g, log_z = _equilibrium(spec, ctx)
+        curves = []
+        for state in (source, target):
+            got = curve_of(state.r, g, log_z)
+            assert_same_curve(got, reference_curve_of(state.r, g, log_z))
+            curves.append(got)
+        pairs = [curves, curves[::-1]]
+        # curves of unequal length on the unit axis, as smallest_epsilon compares them
+        _, _, other, _ = edge_case_pair(rng, trial + 5)
+        other_g = _equilibrium(other.spec, ctx)[0]
+        pairs.append([curve_of(source.r, g), curve_of(other.r, other_g)])
+        for a, b in pairs:
+            got, want = compare(a, b), reference_compare(a, b)
+            assert (got.dominates, got.near_tie) == (want.dominates, want.near_tie)
+            assert repr(got.min_margin) == repr(want.min_margin)
+        q = tf.ConversionQuery(source, target, ctx)
+        assert tf.can_convert(q) is reference_can_convert_on_a_shared_table(q)

@@ -403,6 +403,41 @@ def test_work_bounds_match_the_reference_greedy_test():
         assert tf.w_gain(state, ctx, eps) == gain / ctx.beta
 
 
+def test_lower_cost_bound_reads_h_1_where_the_curve_first_reaches_it():
+    # r = [0.45, 0.55, 1e-17] on g = [1, 1, 9] / 11: the curve reaches y = 1.0 at
+    # u = 2/11, and the tail then adds most of g but no height. The maximum is
+    # ln(0.5) - ln(2/11) = ln 2.75 at h = 1; counting the tail's g there gave
+    # ln(0.55) - ln(1/11) from the breakpoint below instead.
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = tf.SystemSpec(3, (("H", [math.log(9), math.log(9), 0.0]),))
+    state = tf.QuasiclassicalState(spec, [0.45, 0.55, 1e-17])
+    lower, upper = tf.w_cost_bounds(state, ctx, 0.5)
+    assert lower == pytest.approx(math.log(2.75), rel=1e-12)
+    assert lower <= upper
+    # D_H^0 still accepts all of supp r, the tail included: b = 1
+    g = tf.gibbs_state(spec, ctx).r
+    assert tf.d_h_epsilon(tf.HypothesisTest(state.r, g, 0.0)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lower_cost_bound_before_a_tiny_r_tail_is_the_sampled_maximum():
+    # A tail of r below rounding after the curve reaches its top: deltas sampled
+    # just short of 1 - eps come within 1e-3 of the exact maximum, never above it.
+    rng = np.random.default_rng(271)
+    for _ in range(40):
+        d = int(rng.integers(3, 9))
+        r = np.append(rng.dirichlet(np.ones(d - 1)), 10.0 ** rng.uniform(-19.0, -16.0))
+        ctx = tf.preset("helmholtz", beta=float(rng.uniform(0.5, 2.0)))
+        energies = np.append(rng.uniform(0.0, 2.0, d - 1), -2.0)  # the tail holds most of g
+        state = tf.QuasiclassicalState(tf.SystemSpec(d, (("H", energies),)), r / r.sum())
+        g = tf.gibbs_state(state.spec, ctx).r
+        eps = float(rng.uniform(0.05, 0.95))
+        exact = tf.w_cost_bounds(state, ctx, eps)[0] * ctx.beta
+        dense = np.linspace(0.0, 1.0 - eps, 200_001)[1:-1]
+        sampled = sampled_lower(state.r, g, eps, dense)
+        assert sampled <= exact + 1e-12
+        assert exact - sampled <= 1e-3
+
+
 def test_lower_cost_bound_uses_libm_logs():
     # the value is pinned to math.log, so it cannot change with numpy's SIMD log
     rng = np.random.default_rng(263)
