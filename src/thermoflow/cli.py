@@ -3,13 +3,16 @@
 Subcommands: gibbs, lorenz, convert, work, rate, aep, validate. Inputs
 are JSON state descriptors; the context comes from --ctx, from inline
 flags (--beta, --mu, --intensive label=value), or from the state file
-itself, in that order of precedence. Exit codes: 0 success or
-convertible, 1 not convertible (or a failed validation), 2 any error.
+itself, in that order of precedence. Each command returns its output
+text and exit code: 0 success or convertible, 1 not convertible (or a
+failed validation). ``main`` alone writes the text, to --out or to
+stdout, and turns any error into one ``error:`` line and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -22,24 +25,25 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(header: str, rows) -> str:
+    """``header`` and then one line per row of formatted cells."""
+    return "".join(line + "\n" for line in [header, *map(",".join, rows)])
+
+
+def _outside_double_range(path: str, log_z: float) -> ValueError:
+    return ValueError(f"{path}: partition function exp({log_z!r}) is outside double range")
 
 
 def _inline_context(args):
     pairs = []
-    if getattr(args, "mu", None) is not None:
+    if args.mu is not None:
         pairs.append(("mu", args.mu))
-    for raw in getattr(args, "intensive", None) or ():
+    for raw in args.intensive or ():
         label, _, value = raw.partition("=")
         if not _:
             raise ValueError(f"--intensive expects label=value, got {raw!r}")
         pairs.append((label, float(value)))
-    if getattr(args, "beta", None) is None:
+    if args.beta is None:
         if pairs:
             raise ValueError("inline intensive values need --beta as well")
         return None
@@ -49,15 +53,14 @@ def _inline_context(args):
 def _resolve_context(args, embedded):
     """Context file beats inline flags beats the state file's own fields."""
     inline = _inline_context(args)
-    if getattr(args, "ctx", None):
+    if args.ctx:
         if inline is not None:
             print("warning: --ctx file overrides inline context flags",
                   file=sys.stderr)
         return stateio.load_context(args.ctx)
     if inline is not None:
         return inline
-    first = stateio.context_to_dict(embedded[0])
-    if any(stateio.context_to_dict(other) != first for other in embedded[1:]):
+    if any(other != embedded[0] for other in embedded[1:]):
         raise ValueError("state files carry different contexts; pass --ctx")
     return embedded[0]
 
@@ -68,46 +71,42 @@ def _load_states(args, *paths):
     return ctx, [s for _, s in loaded]
 
 
-def _cmd_gibbs(args) -> int:
+def _cmd_gibbs(args) -> tuple[str, int]:
     ctx, (state,) = _load_states(args, args.state)
-    free = theory.gibbs_state(state.spec, ctx)
-    payload = stateio.state_to_dict(free, ctx)
-    payload["partition_function"] = theory.partition_function(state.spec, ctx)
-    payload["log_partition_function"] = theory.log_partition_function(state.spec, ctx)
-    _write(args, stateio.dumps(payload))
-    return 0
+    payload = stateio.state_to_dict(theory.gibbs_state(state.spec, ctx), ctx)
+    log_z = theory.log_partition_function(state.spec, ctx)
+    try:
+        payload["partition_function"] = theory.partition_function(state.spec, ctx)
+    except OverflowError:
+        raise _outside_double_range(args.state, log_z) from None
+    payload["log_partition_function"] = log_z
+    return stateio.dumps(payload), 0
 
 
-def _cmd_lorenz(args) -> int:
+def _cmd_lorenz(args) -> tuple[str, int]:
     ctx, (state,) = _load_states(args, args.state)
     curve = lorenz.build_curve(state, ctx)
     try:
         width = curve.width
     except OverflowError:
         width = 0.0
-    if width == 0.0:
-        raise ValueError(f"{args.state}: partition function exp({curve.log_width!r}) "
-                         "is outside double range")
+    if width == 0.0:  # the points are Z u, so an underflowing Z is refused too
+        raise _outside_double_range(args.state, curve.log_width)
     if args.format == "json":
         payload = {"points": [[float(x), float(y)] for x, y in curve.points],
                    "width": width}
-        _write(args, stateio.dumps(payload))
-    else:
-        lines = ["x,y"]
-        lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in curve.points]
-        _write(args, "\n".join(lines) + "\n")
-    return 0
+        return stateio.dumps(payload), 0
+    return _csv("x,y", ((_fmt(x), _fmt(y)) for x, y in curve.points)), 0
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> tuple[str, int]:
     ctx, (source, target) = _load_states(args, args.source, args.target)
     query = convert.ConversionQuery(source, target, ctx)
     verdict = convert.can_convert(query)
     if args.witness:
         witness = convert.feasibility_oracle(query)
         if (witness is not None) != verdict:
-            print("error: curve verdict and witness oracle disagree", file=sys.stderr)
-            return 2
+            raise ArithmeticError("curve verdict and witness oracle disagree")
         if witness is not None:
             rows, cols = witness.shape
             payload = {
@@ -117,46 +116,33 @@ def _cmd_convert(args) -> int:
             }
             with open(args.witness, "w", encoding="utf-8") as handle:
                 handle.write(stateio.dumps(payload))
-    print("convertible" if verdict else "not convertible")
-    return 0 if verdict else 1
+    return ("convertible\n", 0) if verdict else ("not convertible\n", 1)
 
 
-def _cmd_work(args) -> int:
+def _cmd_work(args) -> tuple[str, int]:
     ctx, (state,) = _load_states(args, args.state)
     report = oneshot.work_report(state, ctx, args.epsilon)
-    payload = {
-        "epsilon": report.epsilon,
-        "w_gain": report.w_gain,
-        "w_cost_lower": report.w_cost_lower,
-        "w_cost_upper": report.w_cost_upper,
-    }
-    _write(args, stateio.dumps(payload))
-    return 0
+    return stateio.dumps(dataclasses.asdict(report)), 0
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> tuple[str, int]:
     ctx, (source, target) = _load_states(args, args.source, args.target)
-    value = asymptotics.conversion_rate(source, target, ctx)
-    _write(args, _fmt(value) + "\n")
-    return 0
+    return _fmt(asymptotics.conversion_rate(source, target, ctx)) + "\n", 0
 
 
-def _cmd_aep(args) -> int:
+def _cmd_aep(args) -> tuple[str, int]:
     ctx, (state,) = _load_states(args, args.state)
     n_list = [int(part) for part in args.n.split(",") if part]
     sweep = asymptotics.aep_sweep(state, ctx, args.epsilon, n_list)
     if args.format == "json":
         payload = {"epsilon": sweep.epsilon, "limit": sweep.limit,
                    "rows": [[n, pc] for n, pc in sweep.rows]}
-        _write(args, stateio.dumps(payload))
-    else:
-        lines = ["n,per_copy_dh,limit"]
-        lines += [f"{n},{_fmt(pc)},{_fmt(sweep.limit)}" for n, pc in sweep.rows]
-        _write(args, "\n".join(lines) + "\n")
-    return 0
+        return stateio.dumps(payload), 0
+    return _csv("n,per_copy_dh,limit",
+                ((str(n), _fmt(pc), _fmt(sweep.limit)) for n, pc in sweep.rows)), 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[str, int]:
     ctx, spec, r = stateio.read_descriptor(args.state)
     theory._check_operator_count(spec, ctx)
     total = float(r.sum())
@@ -166,8 +152,7 @@ def _cmd_validate(args) -> int:
         "fixed_eigensubspace": theory.support_in_one_eigensubspace(
             r, (eig for _, eig in spec.nonstate_blocks)),
     }
-    _write(args, stateio.dumps({"sum_r": total, **checks}))
-    return 0 if all(checks.values()) else 1
+    return stateio.dumps({"sum_r": total, **checks}), 0 if all(checks.values()) else 1
 
 
 def _add_context_flags(parser):
@@ -237,14 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if getattr(args, "out", None):  # convert has no --out
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except (ThermoflowError, ValueError, KeyError, IndexError, TypeError,
             OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -141,5 +141,5 @@ def load_context(path) -> TheoryContext:
 
 
 def dumps(payload: dict) -> str:
-    """Deterministic JSON text: two-space indent, insertion key order."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Deterministic strict JSON text (NaN or inf raises): two-space indent, insertion key order."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import thermoflow as tf
+from thermoflow import cli, convert
 
 
 def run_cli(*args, cwd=None):
@@ -148,8 +149,15 @@ def test_overflowing_partition_function_exits_2(tmp_path):
     })
     result = run_cli("gibbs", shifted)
     assert result.returncode == 2
-    assert result.stderr.startswith("error:")
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {shifted}: partition function exp(800.4")
+    assert result.stderr.endswith(" is outside double range\n")
     assert "Traceback" not in result.stderr
+    # an underflowing Z is still printed: only lorenz, whose points are Z u, refuses it
+    raised = helmholtz_state(tmp_path, "raised.json", [800.0, 801.0, 802.0], [0.7, 0.2, 0.1])
+    result = run_cli("gibbs", raised)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["partition_function"] == 0.0
 
 
 def helmholtz_state(tmp_path, name, energies, r):
@@ -496,3 +504,52 @@ def test_load_errors_name_the_file_in_convert_and_ctx(tmp_path, hot_state):
         assert result.returncode == 2
         assert result.stderr.startswith(prefix), result.stderr
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+def run_main(capsys, *args):
+    """(exit code, stdout, stderr) of one in-process ``cli.main`` call."""
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gibbs", "{hot}"),
+    ("lorenz", "{hot}"),
+    ("lorenz", "{hot}", "--format", "json"),
+    ("work", "{hot}", "--epsilon", "0.1"),
+    ("rate", "{hot}", "{hot}"),
+    ("aep", "{hot}", "--epsilon", "0.1", "--n", "1,4"),
+    ("aep", "{hot}", "--epsilon", "0.1", "--n", "1,4", "--format", "json"),
+    ("validate", "{hot}"),
+    ("validate", "{low}"),
+], ids=" ".join)
+def test_out_file_holds_exactly_what_the_command_prints(tmp_path, capsys, hot_state, argv):
+    low = helmholtz_state(tmp_path, "low.json", [0.0, 1.0], [0.5, 0.4])
+    argv = [arg.format(hot=hot_state, low=low) for arg in argv]
+    code, printed, err = run_main(capsys, *argv)
+    assert printed and err == ""
+    out = tmp_path / "out.txt"
+    assert run_main(capsys, *argv, "--out", str(out)) == (code, "", "")
+    assert out.read_bytes() == printed.encode()
+
+
+def test_witness_disagreement_is_one_error_line(tmp_path, capsys, monkeypatch, hot_state):
+    _, printed, _ = run_main(capsys, "gibbs", hot_state)
+    free = tmp_path / "g.json"
+    free.write_text(printed, encoding="utf-8")
+    assert run_main(capsys, "convert", hot_state, str(free)) == (0, "convertible\n", "")
+    monkeypatch.setattr(convert, "feasibility_oracle", lambda query: None)
+    witness = tmp_path / "m.json"
+    assert run_main(capsys, "convert", hot_state, str(free), "--witness", str(witness)) == (
+        2, "", "error: curve verdict and witness oracle disagree\n")
+    assert not witness.exists()
+
+
+def test_work_never_prints_invalid_json(tmp_path, capsys):
+    # g of the occupied level underflows to 0, so the computed yield is inf
+    # (the exact value is 800), which JSON cannot spell
+    path = helmholtz_state(tmp_path, "gap.json", [0.0, 800.0], [0.0, 1.0])
+    code, printed, err = run_main(capsys, "work", path, "--epsilon", "0")
+    assert (code, printed) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
