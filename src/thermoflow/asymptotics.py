@@ -10,9 +10,9 @@ for small d. One bisection over the classes finds the best delta.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,16 +51,23 @@ class _SortedClasses:
     in O(log n_classes) per query, and the lower cost bound in as many steps.
     """
 
-    def __init__(self, cs: CompressedState):
-        ratio = cs.log_r - cs.log_g
-        # Zero-probability classes have ratio -inf and sort to the tail.
-        order = np.argsort(-ratio, kind="stable")
-        self.r_mass = cs.r_mass[order]
+    def __init__(self, power: list):
+        """Sorts the power in the one-item list ``power``, emptying it so that each
+        table nothing else holds is freed once its sorted copy exists."""
+        log_mult, log_r, log_g = attrgetter("log_mult", "log_r", "log_g")(power.pop())
+        # -ratio; zero-probability classes get +inf and sort to the tail
+        order = np.argsort(log_g - log_r, kind="stable")
+        # every class before that tail, also one whose r mass underflowed to 0
+        live = np.count_nonzero(log_r > -np.inf)
+        log_mass = log_r + log_mult
+        del log_r
+        self.r_mass = np.exp(log_mass, out=log_mass)[order]
+        log_mass = np.add(log_g, log_mult, out=log_mass)
+        del log_g, log_mult
+        self.log_g_mass = log_mass[order]
+        del log_mass, order
         self.cum_r = np.cumsum(self.r_mass)
-        self.log_g_mass = (cs.log_mult + cs.log_g)[order]
         self.prefix_log_g = np.logaddexp.accumulate(self.log_g_mass)
-        # every class before the ratio -inf tail, also one whose r mass underflowed to 0
-        live = bisect.bisect_left(order, True, key=lambda i: ratio[i] == -math.inf)
         self.log_b_all = float(self.prefix_log_g[live - 1])
 
     def log_b(self, need: float) -> float:
@@ -115,7 +122,7 @@ def compressed_d_h_epsilon(cs: CompressedState, epsilon: float) -> float:
     """Hypothesis-testing entropy of a compressed power against its own
     equilibrium power, evaluated class by class in log space."""
     _check_epsilon(epsilon)
-    return -_SortedClasses(cs).log_b(1.0 - epsilon) + 0.0
+    return -_SortedClasses([cs]).log_b(1.0 - epsilon) + 0.0
 
 
 def free_energy_rate(state: QuasiclassicalState, ctx: TheoryContext) -> float:
@@ -147,8 +154,8 @@ def aep_sweep(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
     limit = _equilibrium_divergence(state, ctx)
     rows = []
     for n in sorted(int(n) for n in n_list):
-        cs = tensor_power_compressed(state, ctx, n)
-        rows.append((n, compressed_d_h_epsilon(cs, epsilon) / n))
+        log_b = _SortedClasses([tensor_power_compressed(state, ctx, n)]).log_b(1.0 - epsilon)
+        rows.append((n, (-log_b + 0.0) / n))
     return AepSweep(epsilon=epsilon, rows=tuple(rows), limit=limit)
 
 
@@ -174,7 +181,7 @@ def finite_n_gap(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,
     """
     _require_energy(ctx)
     _check_epsilon(epsilon, lo_open=True)
-    classes = _SortedClasses(tensor_power_compressed(state, ctx, n))
+    classes = _SortedClasses([tensor_power_compressed(state, ctx, n)])
     gain = -classes.log_b(1.0 - epsilon) / ctx.beta + 0.0
     upper = (-classes.log_b(epsilon) - math.log((1.0 - epsilon) / epsilon)) / ctx.beta
     return gain, (classes.max_lower_objective(epsilon) / ctx.beta, upper)

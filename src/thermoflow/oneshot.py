@@ -154,8 +154,9 @@ def _divergence(r: np.ndarray, log_g: np.ndarray) -> float:
 def _equilibrium_divergence(state: QuasiclassicalState, ctx: TheoryContext) -> float:
     """``relative_entropy`` of r from its own equilibrium state, finite across any gap."""
     r = _normalized(state.r, "r")
-    g = _normalized(_equilibrium(state.spec, ctx)[0], "g")
-    return _divergence(r[r > 0], _log_equilibrium(state.spec, ctx, g)[r > 0])
+    g, log_z = _equilibrium(state.spec, ctx)
+    log_g = _log_equilibrium(state.spec, ctx, _normalized(g, "g"), log_z)
+    return _divergence(r[r > 0], log_g[r > 0])
 
 
 def _require_energy(ctx: TheoryContext):

@@ -21,6 +21,7 @@ shape, and their error messages begin "<path>: '<field>'".
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ThermoflowError
 from .theory import (
@@ -49,8 +50,9 @@ def _built(where: str, build, *args):
     """build(*args), with ``where`` put in front of any error message it raises."""
     try:
         return build(*args)
-    except (ThermoflowError, ValueError) as exc:
-        raise type(exc)(f"{where}{exc}") from None
+    except (ThermoflowError, ValueError) as exc:  # a JSONDecodeError comes out a ValueError
+        kind = type(exc) if isinstance(exc, ThermoflowError) else ValueError
+        raise kind(f"{where}{exc}") from None
 
 
 def _number(value, name: str) -> float:
@@ -123,7 +125,7 @@ def state_from_dict(data: dict, source=None):
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return _built(f"{path}: not valid JSON: ", json.load, handle)
 
 
 def read_descriptor(path):
@@ -140,6 +142,22 @@ def load_context(path) -> TheoryContext:
     return context_from_dict(_read(path), path)
 
 
+def _non_finite(value, path: str):
+    """"'<path>' is <value>" for the first inf or nan within ``value``, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path!r} is {value}"
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite(item, where) for where, item in items)), None)
+
+
 def dumps(payload: dict) -> str:
-    """Deterministic strict JSON text (NaN or inf raises): two-space indent, insertion key order."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Strict JSON text, two-space indent, insertion key order; an inf or nan names its field."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(f"{_non_finite(payload, '')}; strict JSON has no inf or nan") from None

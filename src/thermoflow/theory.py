@@ -280,10 +280,11 @@ def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, floa
     return w, m + math.log(total)
 
 
-def _log_equilibrium(spec: SystemSpec, ctx: TheoryContext, g: np.ndarray) -> np.ndarray:
+def _log_equilibrium(spec: SystemSpec, ctx: TheoryContext, g: np.ndarray,
+                     log_z: float) -> np.ndarray:
     """ln g: np.log(g) where g is a normal double, exponent - ln Z where it underflows."""
     normal = g >= np.finfo(float).tiny
-    exact = equilibrium_exponents(spec, ctx) - log_partition_function(spec, ctx)
+    exact = equilibrium_exponents(spec, ctx) - log_z
     return np.where(normal, np.log(np.where(normal, g, 1.0)), exact)
 
 
@@ -307,20 +308,6 @@ def gibbs_state(spec: SystemSpec, ctx: TheoryContext) -> QuasiclassicalState:
     return QuasiclassicalState(spec, _equilibrium(spec, ctx)[0])
 
 
-def _combine_blocks(blocks_a, blocks_b, dim_a, dim_b):
-    # Union of labels; a side that lacks an operator contributes zeros.
-    labels = [label for label, _ in blocks_a]
-    labels += [label for label, _ in blocks_b if label not in labels]
-    table_a = dict(blocks_a)
-    table_b = dict(blocks_b)
-    out = []
-    for label in labels:
-        left = table_a.get(label, np.zeros(dim_a))
-        right = table_b.get(label, np.zeros(dim_b))
-        out.append((label, np.add.outer(left, right).ravel()))
-    return tuple(out)
-
-
 def compose_specs(a: SystemSpec, b: SystemSpec) -> SystemSpec:
     """Operator table of the joint system; eigenvalues add pairwise.
 
@@ -333,7 +320,11 @@ def compose_specs(a: SystemSpec, b: SystemSpec) -> SystemSpec:
         (label, np.add.outer(ea, eb).ravel())
         for (label, ea), (_, eb) in zip(a.operators, b.operators)
     )
-    blocks = _combine_blocks(a.nonstate_blocks, b.nonstate_blocks, a.dim, b.dim)
+    # Non-state blocks: union of labels, a's first; a side that lacks one contributes zeros.
+    table_a, table_b = dict(a.nonstate_blocks), dict(b.nonstate_blocks)
+    blocks = tuple((label, np.add.outer(table_a.get(label, np.zeros(a.dim)),
+                                        table_b.get(label, np.zeros(b.dim))).ravel())
+                   for label in {**table_a, **table_b})
     return SystemSpec(a.dim * b.dim, ops, blocks)
 
 
@@ -347,11 +338,11 @@ def compose(a: QuasiclassicalState, b: QuasiclassicalState) -> QuasiclassicalSta
 class CompressedState:
     """Type-class compression of the n-fold product of a state.
 
-    One row per composition vector k of n over the d outcomes, holding
-    log multinomial(n; k), log prod r^k and log prod g^k (minus infinity
-    where r has a zero in the class). ``r_mass`` and ``g_mass`` are the
-    per-class totals multiplicity * value, which stay well inside double
-    range even when the individual factors do not.
+    Three float64 tables, one entry per composition k of n over the d outcomes
+    in ascending lexicographic order: log multinomial(n; k), and log prod r^k
+    and log prod g^k added left to right (minus infinity where r has a zero in
+    the class). ``r_mass`` and ``g_mass`` are the per-class totals mult * value,
+    which stay well inside double range even when the factors do not.
     """
 
     n: int
@@ -372,32 +363,38 @@ class CompressedState:
         return np.exp(self.log_mult + self.log_g)
 
 
-def _type_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every composition k of n into d parts as a row of a float64 matrix,
-    in ascending lexicographic order (the many-copy test's stable argsort
-    breaks ties between equal ratios in this order), and log
-    multinomial(n; k) per row, its ln k_i! added left to right as numpy's
-    row sum does below 8 columns. A column keeps its own level's length
-    until it is written, so one full-length column exists at a time."""
-    if d == 1:  # one class of multiplicity 1; skip the (n + 1)-entry table
-        return np.full((1, 1), float(n)), np.zeros(1)
+def _type_classes(n: int, a: np.ndarray, b: np.ndarray):
+    """ln multinomial(n; k), k.a and k.b for every composition k of n into
+    d parts, in ascending lexicographic order of k (the many-copy test's
+    stable argsort breaks ties between equal ratios in this order). No row k
+    is built: each level adds ln k_i!, k_i a_i and k_i b_i left to right, as a
+    Python loop over i would, and a_i = -inf counts only where k_i > 0."""
+    if a.size == 1:  # one class of multiplicity 1; skip the (n + 1)-entry table
+        return np.zeros(1), np.array([n * a[0]]), np.array([n * b[0]])
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    values, repeats = [], []
-    rest, log_denominator = np.array([n]), np.zeros(1)
-    for _ in range(d - 1):
+
+    def times(k, x):  # k x, where 0 (-inf) = 0
+        return k * x if x > -math.inf else np.where(k > 0, -math.inf, 0.0)
+
+    k = np.arange(n + 1)  # the first level: k_1 = 0..n
+    log_den, sum_a, sum_b, rest = logfact.copy(), times(k, a[0]), times(k, b[0]), n - k
+    for i in range(1, a.size - 1):
         counts = rest + 1
-        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        values.append(value)
-        repeats.append(counts)
-        log_denominator = np.repeat(log_denominator, counts) + logfact[value]
-        rest = np.repeat(rest, counts) - value
-    log_mult = logfact[n] - (log_denominator + logfact[rest])
-    k = np.empty((rest.size, d))
-    for i, column in enumerate(values + [rest]):
-        for counts in repeats[i + 1:]:
-            column = np.repeat(column, counts)
-        k[:, i] = column
-    return k, log_mult
+        k = np.arange(counts.sum())
+        k -= np.repeat(np.cumsum(counts) - counts, counts)
+        log_den = np.repeat(log_den, counts)
+        log_den += logfact[k]
+        sum_a = np.repeat(sum_a, counts)
+        sum_a += times(k, a[i])
+        sum_b = np.repeat(sum_b, counts)
+        sum_b += times(k, b[i])
+        rest = np.repeat(rest, counts)
+        rest -= k
+    del k
+    log_den += logfact[rest]
+    sum_a += times(rest, a[-1])
+    sum_b += times(rest, b[-1])
+    return np.subtract(logfact[n], log_den, out=log_den), sum_a, sum_b
 
 
 def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
@@ -405,29 +402,18 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
     """n-fold product of ``state`` grouped by type class.
 
     The class count is binomial(n + d - 1, d - 1); anything above one
-    million classes raises TooLarge rather than exhausting memory. log prod
-    r^k and log prod g^k read one float64 count matrix; multinomial logs
-    come from a cumulative log-factorial table, so total r and g masses are
-    conserved to well within 1e-9.
+    million classes raises TooLarge rather than exhausting memory. The
+    tables are folded from ln r, ln g and log factorials (``_type_classes``),
+    so total r and g masses are conserved to well within 1e-9.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = state.dim
-    count = math.comb(n + d - 1, d - 1)
+    count = math.comb(n + state.dim - 1, state.dim - 1)
     if count > MAX_TYPE_CLASSES:
         raise TooLarge(f"{count} type classes exceed the cap of {MAX_TYPE_CLASSES}")
-    k, log_mult = _type_classes(n, d)
-    dead = state.r <= 0.0
-    log_r = k @ np.log(np.where(dead, 1.0, state.r))
-    if dead.any():
-        # 0^0 = 1, but a class that uses a zero-probability outcome has none
-        log_r[k[:, dead].any(axis=1)] = -np.inf
-    return CompressedState(
-        n=n,
-        log_mult=log_mult,
-        log_r=log_r,
-        log_g=k @ _log_equilibrium(state.spec, ctx, _equilibrium(state.spec, ctx)[0]),
-    )
+    log_r = np.log(state.r, out=np.full(state.dim, -np.inf), where=state.r > 0.0)
+    log_g = _log_equilibrium(state.spec, ctx, *_equilibrium(state.spec, ctx))
+    return CompressedState(n, *_type_classes(n, log_r, log_g))
 
 
 def support_in_one_eigensubspace(r: np.ndarray, eigenvalue_lists) -> bool:

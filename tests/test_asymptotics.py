@@ -179,7 +179,7 @@ def test_finite_n_gap_costs_exceed_gains():
 def boundary_lower(state, ctx, eps, n):
     """beta times the lower cost bound of n copies: the best of ln(h - eps) -
     ln b(h) over every class boundary h inside (eps, 1), and h = 1."""
-    classes = _SortedClasses(tf.tensor_power_compressed(state, ctx, n))
+    classes = _SortedClasses([tf.tensor_power_compressed(state, ctx, n)])
     heights = classes.cum_r[(classes.cum_r > eps) & (classes.cum_r < 1.0)]
     heights = np.append(heights, 1.0)
     # b where the r mass reaches h, as the bound reads it: at h = 1 that leaves
@@ -239,7 +239,7 @@ def test_lower_cost_bound_stops_where_the_r_total_first_rounds_to_1():
     state = tf.QuasiclassicalState(tf.SystemSpec(2, (("H", [0.25, 0.0]),)), [1.0, 1e-19])
     log_g0 = -math.log1p(math.exp(0.25))
     for n, want in ((1, 0.1328), (500, 412.28)):
-        classes = _SortedClasses(tf.tensor_power_compressed(state, ctx, n))
+        classes = _SortedClasses([tf.tensor_power_compressed(state, ctx, n)])
         assert classes.cum_r[-1] == 1.0
         _, (lower, upper) = tf.finite_n_gap(state, ctx, 0.5, n)
         assert lower == pytest.approx(math.log(0.5) - n * log_g0, rel=1e-12)
@@ -281,6 +281,27 @@ def reference_log_b(classes, need):
     return float(np.logaddexp(prev_log_g, math.log(frac) + classes.log_g_mass[k]))
 
 
+def test_many_copy_calls_near_the_cap_hold_fewer_than_six_tables():
+    import tracemalloc
+
+    # d = 3, n = 1400: 982,101 classes, 7.9 MB per float64 table. Building the
+    # power and sorting it each keep at most five tables alive, since the
+    # power's tables are freed as their sorted copies appear.
+    rng = np.random.default_rng(316)
+    ctx = random_context(rng, "helmholtz")
+    state = tf.QuasiclassicalState(random_spec(rng, 3, ctx), [0.5, 0.3, 0.2])
+    bound = 6 * 8 * math.comb(1400 + 2, 2)
+    for call in (lambda: tf.finite_n_gap(state, ctx, 0.1, 1400),
+                 lambda: tf.aep_sweep(state, ctx, 0.1, [700, 1400])):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 def test_log_b_many_matches_scalar_lookup():
     rng = np.random.default_rng(331)
     ctx = tf.preset("helmholtz", beta=0.9)
@@ -290,7 +311,7 @@ def test_log_b_many_matches_scalar_lookup():
     for r, n in cases:
         spec = tf.SystemSpec(len(r), (("H", rng.uniform(-1, 1, len(r))),))
         state = tf.QuasiclassicalState(spec, r)
-        classes = _SortedClasses(tf.tensor_power_compressed(state, ctx, n))
+        classes = _SortedClasses([tf.tensor_power_compressed(state, ctx, n)])
         total = classes.cum_r[-1]
         needs = np.concatenate([
             [0.0, -0.25],  # k = 0 with a fraction of exactly 0

@@ -134,11 +134,15 @@ def test_byte_identical_reruns(tmp_path, hot_state, pure2, entropy_ctx):
 def test_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    for command in (("gibbs", str(bad)), ("validate", str(bad)),
-                    ("work", str(bad), "--epsilon", "0")):
+    path = str(bad)
+    for command in (("gibbs", path), ("lorenz", path), ("convert", path, path),
+                    ("work", path, "--epsilon", "0"), ("rate", path, path),
+                    ("aep", path, "--epsilon", "0.1", "--n", "5"), ("validate", path)):
         result = run_cli(*command)
         assert result.returncode == 2
-        assert result.stderr.startswith("error:")
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {path}: not valid JSON: Expecting property name "
+                                 "enclosed in double quotes: line 1 column 2 (char 1)\n")
 
 
 def test_overflowing_partition_function_exits_2(tmp_path):
@@ -544,6 +548,14 @@ def test_witness_disagreement_is_one_error_line(tmp_path, capsys, monkeypatch, h
     assert run_main(capsys, "convert", hot_state, str(free), "--witness", str(witness)) == (
         2, "", "error: curve verdict and witness oracle disagree\n")
     assert not witness.exists()
+
+
+def test_work_names_the_field_that_is_not_finite(tmp_path, capsys):
+    # the same gap as below: w_gain comes out inf, and the refusal names it
+    path = helmholtz_state(tmp_path, "gap.json", [0.0, 800.0], [0.0, 1.0])
+    code, printed, err = run_main(capsys, "work", path, "--epsilon", "0")
+    assert (code, printed) == (2, "")
+    assert err == "error: 'w_gain' is inf; strict JSON has no inf or nan\n"
 
 
 def test_work_never_prints_invalid_json(tmp_path, capsys):

@@ -75,3 +75,16 @@ def test_mistyped_fields_are_named():
             stateio.state_from_dict({**base, **update})
         with pytest.raises(ValueError, match=f"^file.json: {field}"):
             stateio.state_from_dict({**base, **update}, "file.json")
+
+
+def test_dumps_names_the_path_of_a_non_finite_value():
+    payload = {"epsilon": 0.1, "rows": [[5, 0.25], [12, math.nan]],
+               "fit": {"points": [[0.0, 1.0], [2.0, -math.inf]], "label": "x"}}
+    with pytest.raises(ValueError) as caught:
+        stateio.dumps(payload)
+    assert str(caught.value) == "'rows[1][1]' is nan; strict JSON has no inf or nan"
+    del payload["rows"]
+    with pytest.raises(ValueError, match=r"^'fit\.points\[1\]\[1\]' is -inf; strict JSON"):
+        stateio.dumps(payload)
+    payload["fit"]["points"][1][1] = 3.0
+    assert json.loads(stateio.dumps(payload)) == payload

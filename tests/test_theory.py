@@ -304,20 +304,35 @@ def reference_compositions(n, d):
     return np.hstack([first, inner, last])
 
 
+def compositions(n, d):
+    """The rows k of ``_type_classes``, read column by column through
+    identity rows: e_i . k = k_i."""
+    eye = np.eye(d)
+    return np.column_stack([theory._type_classes(n, eye[i], eye[i])[1] for i in range(d)])
+
+
 def test_compositions_match_divider_enumeration():
     for d in range(1, 6):
         for n in (1, 2, 3, 7, 16, 30):
-            got = theory._type_classes(n, d)[0]
+            got = compositions(n, d)
             expected = reference_compositions(n, d)
             # same rows in the same order: downstream tie-breaking relies on it
             np.testing.assert_array_equal(got, expected)
             assert got.shape[0] == math.comb(n + d - 1, d - 1)
 
 
+def left_to_right(k, log_base):
+    """k . log_base per row of k, added column by column from the left."""
+    out = np.zeros(k.shape[0])
+    for column, value in zip(k.T, log_base):
+        out += column * value
+    return out
+
+
 def reference_tensor_power(state, ctx, n):
-    """The integer-matrix builder the column-wise expansion replaced:
-    column_stack compositions, a gathered log-factorial row sum and a
-    masked matmul per vector."""
+    """The integer-matrix builder the level-by-level fold replaced:
+    column_stack compositions, a gathered log-factorial row sum and
+    masked left-to-right column sums per vector."""
     d = state.dim
     rows = np.empty((1, 0), dtype=np.int64)
     rest = np.array([n], dtype=np.int64)
@@ -331,18 +346,18 @@ def reference_tensor_power(state, ctx, n):
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
 
     def masked_log_powers(base):
-        out = k @ np.log(np.where(base > 0.0, base, 1.0))
+        out = left_to_right(k, np.log(np.where(base > 0.0, base, 1.0)))
         dead = base <= 0.0
         if dead.any():
             out[(k[:, dead] > 0).any(axis=1)] = -np.inf
         return out
 
-    g = tf.gibbs_state(state.spec, ctx).r
+    g, log_z = tf.gibbs_state(state.spec, ctx).r, tf.log_partition_function(state.spec, ctx)
     return tf.CompressedState(
         n=n,
         log_mult=logfact[n] - logfact[k].sum(axis=1),
         log_r=masked_log_powers(state.r),
-        log_g=k @ theory._log_equilibrium(state.spec, ctx, g),
+        log_g=left_to_right(k, theory._log_equilibrium(state.spec, ctx, g, log_z)),
     )
 
 
@@ -411,6 +426,26 @@ def test_tensor_power_rows_of_eight_or_more_columns_agree_to_rounding():
         np.testing.assert_allclose(got.log_mult, want.log_mult, rtol=1e-14, atol=1e-13)
         np.testing.assert_array_equal(got.log_r, want.log_r)
         np.testing.assert_array_equal(got.log_g, want.log_g)
+
+
+def test_class_logs_are_left_to_right_python_sums():
+    # log r and log g of a class are what a Python loop over the outcomes
+    # gives, k_i ln r_i added in outcome order, whatever BLAS the CPU runs
+    rng = np.random.default_rng(815)
+    for d, n in ((3, 40), (5, 9), (9, 4)):
+        ctx = random_context(rng, "grand_potential")
+        state = tf.QuasiclassicalState(random_spec(rng, d, ctx), rng.dirichlet(np.ones(d)))
+        power = tf.tensor_power_compressed(state, ctx, n)
+        # the per-outcome logs the power starts from
+        logs = (np.log(state.r).tolist(), theory._log_equilibrium(
+            state.spec, ctx, *theory._equilibrium(state.spec, ctx)).tolist())
+        k = reference_compositions(n, d)
+        for row in rng.choice(len(k), 25, replace=False):
+            for got, per_outcome in zip((power.log_r[row], power.log_g[row]), logs):
+                total = 0.0
+                for count, value in zip(k[row].tolist(), per_outcome):
+                    total += count * value
+                assert got == total
 
 
 def test_one_level_power_builds_no_log_factorial_table():
