@@ -20,13 +20,11 @@ from .convert import (
     feasibility_oracle,
     smallest_epsilon,
 )
-from .lorenz import DominationResult, LorenzCurve, build_curve, compare, dominates, evaluate
+from .lorenz import DominationResult, LorenzCurve, build_curve, compare, dominates
 from .oneshot import (
-    BatteryState,
     HypothesisTest,
     WorkReport,
     b_epsilon,
-    battery_extract_check,
     battery_pair,
     d_h_epsilon,
     relative_entropy,
@@ -51,7 +49,6 @@ from .theory import (
     partition_function,
     preset,
     tensor_power_compressed,
-    validate_fixed_eigensubspace,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -73,10 +74,10 @@ def _load_states(args, *paths):
 
 def _cmd_gibbs(args) -> tuple[str, int]:
     ctx, (state,) = _load_states(args, args.state)
-    payload = stateio.state_to_dict(theory.gibbs_state(state.spec, ctx), ctx)
-    log_z = theory.log_partition_function(state.spec, ctx)
+    g, log_z = theory._equilibrium(state.spec, ctx)
+    payload = stateio.state_to_dict(theory.QuasiclassicalState(state.spec, g), ctx)
     try:
-        payload["partition_function"] = theory.partition_function(state.spec, ctx)
+        payload["partition_function"] = math.exp(log_z)
     except OverflowError:
         raise _outside_double_range(args.state, log_z) from None
     payload["log_partition_function"] = log_z

@@ -37,10 +37,6 @@ class WidthMismatch(ThermoflowError):
     """Lorenz curves span different equilibrium widths and cannot be compared."""
 
 
-class OutOfDomain(ThermoflowError):
-    """Curve evaluated outside [0, Z]."""
-
-
 class TooLarge(ThermoflowError):
     """Problem size exceeds the fixed cap of an exact oracle or a tensor power."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, WidthMismatch
+from .errors import WidthMismatch
 from .theory import QuasiclassicalState, TheoryContext, _equilibrium
 
 # Absolute tolerance for one curve dipping below another (curves are built
@@ -116,14 +116,6 @@ def inverse(curve: LorenzCurve, r: np.ndarray, g: np.ndarray,
     if support[top:].any():
         out[heights == math.inf] = gs[support].sum()
     return out
-
-
-def evaluate(curve: LorenzCurve, x: float) -> float:
-    """Linear interpolation of the curve at x in [0, Z]."""
-    if x < -DOMINATION_ATOL or x > curve.width + DOMINATION_ATOL:
-        raise OutOfDomain(f"x={x!r} outside [0, {curve.width!r}]")
-    x = min(max(float(x), 0.0), curve.width)
-    return float(np.interp(x, curve.x, curve.y))
 
 
 def compare(a: LorenzCurve, b: LorenzCurve) -> DominationResult:

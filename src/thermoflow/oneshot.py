@@ -36,7 +36,6 @@ from .theory import (
     _log_equilibrium,
 )
 
-BATTERY_SLACK = 1e-9
 # Dimension cap for vertex enumeration (2^d subsets are visited).
 VERTEX_DIM_CAP = 18
 
@@ -217,17 +216,6 @@ def resource_yield(state: QuasiclassicalState, ctx: TheoryContext) -> float:
 
 
 @dataclass(frozen=True)
-class BatteryState:
-    """A battery parked in the pure energy level E."""
-
-    level_energy: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.level_energy):
-            raise ValueError("battery level must be finite")
-
-
-@dataclass(frozen=True)
 class WorkReport:
     """Work summary for one state at one failure tolerance.
 
@@ -251,30 +239,17 @@ def work_report(state: QuasiclassicalState, ctx: TheoryContext,
     return WorkReport(epsilon, gain, lower, upper)
 
 
-def battery_pair(labels, battery: BatteryState, work: float):
-    """(B_E, B_{E+W}) on the minimal two-level ladder {E, E+W}.
-
-    The ladder spec copies the given operator labels so it can be
-    composed with system states; work is stored in the energy operator
-    and every other operator is zero on the battery.
+def battery_pair(labels, work: float):
+    """(B_0, B_W) on the two-level ladder {0, W}; only the level difference
+    is physical. The spec copies the given labels, stores W in the energy
+    operator and zeros every other one. A state r charges the battery by W
+    exactly when r (x) B_0 -> B_W is free, that is up to W = ``w_gain(r, ctx, 0)``.
     """
-    levels = np.array([battery.level_energy, battery.level_energy + work])
-    ops = tuple(
-        (label, levels if i == 0 else np.zeros(2)) for i, label in enumerate(labels)
-    )
+    levels = np.array([0.0, work])
+    ops = tuple((label, levels if i == 0 else np.zeros(2))
+                for i, label in enumerate(labels))
     spec = SystemSpec(2, ops)
     return (
         QuasiclassicalState(spec, np.array([1.0, 0.0])),
         QuasiclassicalState(spec, np.array([0.0, 1.0])),
     )
-
-
-def battery_extract_check(state: QuasiclassicalState, battery: BatteryState,
-                          work: float, ctx: TheoryContext, epsilon: float) -> bool:
-    """Whether charging the battery by ``work`` is within the state's yield.
-
-    True iff work <= w_gain + 1e-9. The battery's resting level does not
-    enter the verdict; only the level difference is physical.
-    """
-    del battery
-    return work <= w_gain(state, ctx, epsilon) + BATTERY_SLACK

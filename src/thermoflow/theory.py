@@ -341,8 +341,8 @@ class CompressedState:
     Three float64 tables, one entry per composition k of n over the d outcomes
     in ascending lexicographic order: log multinomial(n; k), and log prod r^k
     and log prod g^k added left to right (minus infinity where r has a zero in
-    the class). ``r_mass`` and ``g_mass`` are the per-class totals mult * value,
-    which stay well inside double range even when the factors do not.
+    the class). A class's total r mass is exp(log_mult + log_r), which stays
+    well inside double range even when the factors do not.
     """
 
     n: int
@@ -353,14 +353,6 @@ class CompressedState:
     @property
     def n_classes(self) -> int:
         return self.log_mult.size
-
-    @property
-    def r_mass(self) -> np.ndarray:
-        return np.exp(self.log_mult + self.log_r)
-
-    @property
-    def g_mass(self) -> np.ndarray:
-        return np.exp(self.log_mult + self.log_g)
 
 
 def _type_classes(n: int, a: np.ndarray, b: np.ndarray):
@@ -425,9 +417,3 @@ def support_in_one_eigensubspace(r: np.ndarray, eigenvalue_lists) -> bool:
             return False
     return True
 
-
-def validate_fixed_eigensubspace(state: QuasiclassicalState) -> bool:
-    """Whether the support sits in one shared eigensubspace of every
-    non-state operator. Vacuously true when there are none."""
-    return support_in_one_eigensubspace(
-        state.r, (eig for _, eig in state.spec.nonstate_blocks))

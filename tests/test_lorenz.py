@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import thermoflow as tf
-from thermoflow.errors import OutOfDomain, WidthMismatch
+from thermoflow.errors import WidthMismatch
 from thermoflow.lorenz import (
     DOMINATION_ATOL,
     NEAR_TIE_BAND,
@@ -24,9 +24,7 @@ def test_gibbs_state_curve_is_the_diagonal():
         ctx = random_context(rng)
         spec = random_spec(rng, 5, ctx)
         curve = tf.build_curve(tf.gibbs_state(spec, ctx), ctx)
-        z = tf.partition_function(spec, ctx)
-        for x in rng.uniform(0, z, 8):
-            assert tf.evaluate(curve, x) == pytest.approx(x / z, abs=1e-12)
+        np.testing.assert_allclose(curve.y, curve.u, rtol=0, atol=1e-12)
 
 
 def test_pure_entropy_curve_breakpoints():
@@ -41,18 +39,6 @@ def test_uniform_entropy_curve_is_diagonal():
     state = tf.QuasiclassicalState(tf.SystemSpec(2), [0.5, 0.5])
     curve = tf.build_curve(state, ctx)
     np.testing.assert_allclose(curve.points, [(0, 0), (1, 0.5), (2, 1)], atol=1e-15)
-
-
-def test_evaluate_endpoints_and_interpolation():
-    ctx = tf.preset("entropy")
-    curve = tf.build_curve(tf.QuasiclassicalState(tf.SystemSpec(2), [1.0, 0.0]), ctx)
-    assert tf.evaluate(curve, 0.0) == 0.0
-    assert tf.evaluate(curve, curve.width) == 1.0
-    assert tf.evaluate(curve, 0.5) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(OutOfDomain):
-        tf.evaluate(curve, -0.1)
-    with pytest.raises(OutOfDomain):
-        tf.evaluate(curve, curve.width + 0.1)
 
 
 def test_dominates_reflexive_and_gibbs_floor():

@@ -255,17 +255,38 @@ def test_work_report_epsilon_zero_has_no_cost_bounds():
     assert fuller.w_cost_lower <= fuller.w_cost_upper
 
 
+def charges(state, ctx, work, offset=None):
+    """Whether r (x) B_0 -> B_W is free: the state charges the battery by ``work``.
+    With ``offset`` E the ladder is built by hand at {E, E + W}."""
+    low, high = tf.battery_pair(state.spec.labels, work)
+    if offset is not None:
+        ops = tuple((label, eig + offset if i == 0 else eig)
+                    for i, (label, eig) in enumerate(low.spec.operators))
+        spec = tf.SystemSpec(2, ops)
+        low, high = (tf.QuasiclassicalState(spec, b.r) for b in (low, high))
+    return tf.can_convert(tf.ConversionQuery(tf.compose(state, low), high, ctx))
+
+
+def states_with_a_zero(rng, count):
+    """Seeded helmholtz states (d = 2-5, beta in U(0.3, 3)) with one zero in r,
+    so the zero-tolerance yield is positive."""
+    for _ in range(count):
+        ctx = tf.preset("helmholtz", beta=float(rng.uniform(0.3, 3.0)))
+        d = int(rng.integers(2, 6))
+        r = rng.dirichlet(np.ones(d))
+        r[rng.integers(d)] = 0.0
+        yield tf.QuasiclassicalState(random_spec(rng, d, ctx), r / r.sum()), ctx
+
+
 def test_battery_check_boundaries():
     ctx = tf.preset("helmholtz", beta=1.0)
     spec = tf.SystemSpec(2, (("H", [0.0, 1.0]),))
     state = tf.QuasiclassicalState(spec, [1.0, 0.0])
-    battery = tf.BatteryState(0.4)
     yield_ = tf.w_gain(state, ctx, 0.0)
-    assert tf.battery_extract_check(state, battery, 0.0, ctx, 0.0)
-    assert tf.battery_extract_check(state, battery, yield_, ctx, 0.0)
-    assert not tf.battery_extract_check(state, battery, yield_ + 0.1, ctx, 0.0)
-    g = tf.gibbs_state(spec, ctx)
-    assert not tf.battery_extract_check(g, battery, 0.05, ctx, 0.0)
+    assert charges(state, ctx, 0.0)
+    assert charges(state, ctx, yield_)
+    assert not charges(state, ctx, yield_ + 0.1)
+    assert not charges(tf.gibbs_state(spec, ctx), ctx, 0.05)
 
 
 def test_battery_check_agrees_with_conversion_decision():
@@ -279,13 +300,28 @@ def test_battery_check_agrees_with_conversion_decision():
         r[rng.integers(3)] = 0.0
         state = tf.QuasiclassicalState(spec, r / r.sum())
         yield_ = tf.w_gain(state, ctx, 0.0)
-        battery = tf.BatteryState(float(rng.uniform(-1, 1)))
         for work, expected in ((0.5 * yield_, True), (0.9 * yield_, True),
                                (1.1 * yield_, False), (2.0 * yield_, False)):
-            low, high = tf.battery_pair(spec.labels, battery, work)
-            verdict = tf.can_convert(tf.ConversionQuery(tf.compose(state, low), high, ctx))
-            assert verdict == expected
-            assert tf.battery_extract_check(state, battery, work, ctx, 0.0) == expected
+            assert charges(state, ctx, work) == expected
+
+
+def test_battery_charges_exactly_up_to_the_yield():
+    # Horodecki & Oppenheim, arXiv:1111.3834: r charges B_0 -> B_W iff W <= W_gain
+    rng = np.random.default_rng(263)
+    for state, ctx in states_with_a_zero(rng, 100):
+        yield_ = tf.w_gain(state, ctx, 0.0)
+        assert yield_ > 0.0
+        assert charges(state, ctx, yield_)
+        assert not charges(state, ctx, yield_ * (1.0 + 1e-6) + 1e-6)
+
+
+def test_battery_resting_level_changes_no_verdict():
+    rng = np.random.default_rng(271)
+    for state, ctx in states_with_a_zero(rng, 100):
+        yield_ = tf.w_gain(state, ctx, 0.0)
+        for work in (yield_, yield_ * (1.0 + 1e-6) + 1e-6, float(rng.uniform(0.0, 2.0 * yield_))):
+            offset = float(rng.uniform(-50.0, 50.0))
+            assert charges(state, ctx, work, offset) == charges(state, ctx, work)
 
 
 def test_extractable_work_is_a_monotone():

@@ -227,7 +227,8 @@ def test_compose_merges_nonstate_blocks():
     assert joint.spec.nonstate_labels == ("N",)
     # the side without the block contributes zero eigenvalues
     np.testing.assert_allclose(joint.spec.nonstate_blocks[0][1], [3.0, 3.0, 3.0, 3.0])
-    assert tf.validate_fixed_eigensubspace(joint)
+    blocks = [eig for _, eig in joint.spec.nonstate_blocks]
+    assert theory.support_in_one_eigensubspace(joint.r, blocks)
 
 
 def test_compose_label_mismatch():
@@ -279,8 +280,8 @@ def test_tensor_power_conserves_mass():
     spec = random_spec(rng, 3, ctx)
     state = random_state(rng, spec)
     cs = tf.tensor_power_compressed(state, ctx, 10)
-    assert cs.r_mass.sum() == pytest.approx(1.0, abs=1e-9)
-    assert cs.g_mass.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.exp(cs.log_mult + cs.log_r).sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.exp(cs.log_mult + cs.log_g).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tensor_power_cap():
@@ -490,16 +491,14 @@ def test_many_copy_results_match_reference_built_powers(monkeypatch):
 
 
 def test_fixed_eigensubspace_cases():
-    def with_block(r, block):
-        spec = tf.SystemSpec(2, (), (("N", block),))
-        return tf.QuasiclassicalState(spec, r)
+    def fixed(r, blocks):
+        return theory.support_in_one_eigensubspace(np.array(r), [np.array(b) for b in blocks])
 
-    assert tf.validate_fixed_eigensubspace(with_block([1.0, 0.0], [5.0, 7.0]))
-    assert not tf.validate_fixed_eigensubspace(with_block([0.5, 0.5], [5.0, 7.0]))
-    assert tf.validate_fixed_eigensubspace(with_block([0.5, 0.5], [5.0, 5.0]))
+    assert fixed([1.0, 0.0], [[5.0, 7.0]])
+    assert not fixed([0.5, 0.5], [[5.0, 7.0]])
+    assert fixed([0.5, 0.5], [[5.0, 5.0]])
     # no non-state blocks: vacuously true
-    plain = tf.QuasiclassicalState(tf.SystemSpec(2), [0.5, 0.5])
-    assert tf.validate_fixed_eigensubspace(plain)
+    assert fixed([0.5, 0.5], [])
 
 
 def test_equilibrium_coefficients_are_built_once_and_read_only():
