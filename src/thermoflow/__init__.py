@@ -30,7 +30,6 @@ from .oneshot import (
     relative_entropy,
     resource_yield,
     shannon_entropy,
-    vertex_oracle,
     w_cost_bounds,
     w_gain,
     work_report,

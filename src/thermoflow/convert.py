@@ -126,8 +126,8 @@ def feasibility_oracle(q: ConversionQuery):
     A[:r.size].reshape(r.size, s.size, r.size)[:] = np.eye(r.size)[:, None]
     A[r.size:].reshape(2, s.size ** 2, r.size)[:, ::s.size + 1] = np.stack((g_src, r))[:, None]
     b = np.concatenate([np.ones(r.size), g_tgt, s])
-    status, x, _ = solve_standard_lp(A, b, np.zeros(A.shape[1]))
-    if status == "infeasible":
+    x = solve_standard_lp(A, b)
+    if x is None:
         return None
     matrix = np.clip(x.reshape(s.size, r.size), 0.0, None)
     if not _same_table(q.source.spec, q.target.spec):

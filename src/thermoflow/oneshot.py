@@ -23,7 +23,6 @@ from .errors import (
     EntropyRepresentation,
     EpsilonOutOfRange,
     NormalizationError,
-    TooLarge,
 )
 from .lorenz import curve_of, inverse
 from .theory import (
@@ -35,9 +34,6 @@ from .theory import (
     _equilibrium,
     _log_equilibrium,
 )
-
-# Dimension cap for vertex enumeration (2^d subsets are visited).
-VERTEX_DIM_CAP = 18
 
 
 def _normalized(values, name: str) -> np.ndarray:
@@ -93,39 +89,6 @@ def d_h_epsilon(test: HypothesisTest) -> float:
     return math.inf if b == 0.0 else -math.log(b) + 0.0
 
 
-def vertex_oracle(test: HypothesisTest) -> float:
-    """Independent optimum by enumerating vertices of the feasible box.
-
-    Every vertex of {0 <= q <= 1, sum q r >= 1 - eps} has at most one
-    fractional coordinate, so trying each 0/1 pattern plus each forced
-    fractional fill is exhaustive. Exponential in d; capped.
-    """
-    d = test.r.size
-    if d > VERTEX_DIM_CAP:
-        raise TooLarge(f"vertex enumeration capped at dimension {VERTEX_DIM_CAP}, got {d}")
-    r, g = test.r, test.g
-    need = 1.0 - test.epsilon
-    masks = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1).astype(float)
-    mass_r = masks @ r
-    mass_g = masks @ g
-
-    best = np.inf
-    slack = 1e-12
-    satisfied = mass_r >= need - slack
-    if satisfied.any():
-        best = float(mass_g[satisfied].min())
-    for t in range(d):
-        if r[t] <= 0:
-            continue
-        off = masks[:, t] == 0
-        frac = (need - mass_r[off]) / r[t]
-        usable = (frac > 0.0) & (frac <= 1.0 + slack)
-        if usable.any():
-            values = mass_g[off][usable] + np.clip(frac[usable], 0.0, 1.0) * g[t]
-            best = min(best, float(values.min()))
-    return best
-
-
 def shannon_entropy(r) -> float:
     """-sum r ln r with 0 ln 0 = 0."""
     arr = _normalized(r, "r")
@@ -179,11 +142,15 @@ def w_gain(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float) -> fl
 
 def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext,
                   epsilon: float) -> tuple[float, float]:
-    """(lower, upper) bounds on the work needed to form the state.
+    """(lower, upper) work to form the state: the exact cost and a bound on it.
 
-    upper = (1/beta) [ D_H^{1-eps}(r || g) - ln((1-eps)/eps) ]
     lower = max over delta in (0, 1-eps] of
             (1/beta) [ D_H^{1-eps-delta}(r || g) - ln(1/delta) ]
+    upper = (1/beta) [ D_H^{1-eps}(r || g) - ln((1-eps)/eps) ]
+
+    The lower value is the exact eps-formation cost: the least W for which a
+    free image of g (x) B_W lies within trace distance eps of r (x) B_0, with
+    ``battery_pair`` ladders. The upper value is only a bound above it.
 
     With h = eps + delta, the Type II error b(h) is piecewise linear in h
     and the objective is monotone on each piece, so the maximum is exact at

@@ -1,7 +1,9 @@
-"""Dense two-phase simplex for the small LPs behind the conversion oracles.
+"""Dense phase-1 simplex: a feasible point of A x = b, x >= 0, or None.
 
-Full-tableau implementation in standard form (min c.x, A x = b, x >= 0)
-with Bland's anticycling rule throughout: the entering column is the
+The feasibility oracle needs a point, not an optimum, so only phase 1 is
+here: flip rows with negative rhs, start from an artificial basis and
+minimize the total artificial mass, then drive leftover artificials out.
+Bland's anticycling rule holds throughout: the entering column is the
 lowest-index improving one and ratio ties leave the row whose basic
 variable has the lowest index. Determinism comes first: each pivot is one
 argmax, one ratio test whose ties go to an argmin over the int basis array
@@ -25,17 +27,18 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) -> str:
+def _minimize(tableau: np.ndarray, basis: np.ndarray, max_iter: int):
+    tol = FEASIBILITY_TOL
     body, rhs, reduced = tableau[:-1], tableau[:-1, -1], tableau[-1, :-1]
     for _ in range(max_iter):
         improving = reduced < -tol
         col = int(improving.argmax())
         if not improving[col]:
-            return "optimal"
+            return
         column = body[:, col]
         rows = (column > tol).nonzero()[0]
         if rows.size == 0:
-            return "unbounded"
+            raise ArithmeticError("phase 1 cannot be unbounded")
         ratios = rhs[rows] / column[rows]
         best = float(ratios.min())
         tied = rows[ratios <= best + tol * max(1.0, abs(best))]
@@ -43,16 +46,10 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) 
     raise ArithmeticError("simplex iteration cap exceeded")
 
 
-def solve_standard_lp(A, b, c, tol: float = FEASIBILITY_TOL,
-                      max_iter: int | None = None):
-    """Minimize c.x subject to A x = b, x >= 0.
-
-    Returns (status, x, objective) where status is one of "optimal",
-    "infeasible" or "unbounded"; x and objective are None unless optimal.
-    """
+def solve_standard_lp(A, b, max_iter: int | None = None):
+    """A point x >= 0 with A x = b, or None when there is none."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
     m, n = A.shape
     if max_iter is None:
         max_iter = 1000 + 200 * (m + n)
@@ -61,7 +58,6 @@ def solve_standard_lp(A, b, c, tol: float = FEASIBILITY_TOL,
     A[flip] *= -1.0
     b = np.abs(b)
 
-    # Phase 1: artificial basis, minimize total artificial mass.
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = A
     tableau[:m, n:n + m] = np.eye(m)
@@ -70,35 +66,17 @@ def solve_standard_lp(A, b, c, tol: float = FEASIBILITY_TOL,
     tableau[-1, -1] = -b.sum()
     basis = np.arange(n, n + m)
 
-    status = _iterate(tableau, basis, tol, max_iter)
-    if status != "optimal":
-        raise ArithmeticError("phase 1 cannot be unbounded")
-    if -tableau[-1, -1] > tol:
-        return "infeasible", None, None
+    _minimize(tableau, basis, max_iter)
+    if -tableau[-1, -1] > FEASIBILITY_TOL:
+        return None
 
-    # Drive leftover artificials out of the basis; rows that offer no
-    # pivot are redundant constraints and get dropped.
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            candidates = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
-            if candidates.size == 0:
-                continue
+    # Drive leftover artificials out of the basis; a row that offers no pivot
+    # is a redundant constraint, and its artificial stays basic at zero.
+    for i in np.flatnonzero(basis >= n):
+        candidates = np.flatnonzero(np.abs(tableau[i, :n]) > FEASIBILITY_TOL)
+        if candidates.size:
             _pivot(tableau, basis, i, int(candidates[0]))
-        keep.append(i)
 
-    rows = len(keep)
-    phase2 = np.zeros((rows + 1, n + 1))
-    phase2[:rows, :n], phase2[:rows, -1] = tableau[keep, :n], tableau[keep, -1]
-    basis = basis[keep]
-    cost_basic = c[basis]
-    phase2[-1, :n] = c - cost_basic @ phase2[:rows, :n]
-    phase2[-1, -1] = -(cost_basic @ phase2[:rows, -1])
-
-    status = _iterate(phase2, basis, tol, max_iter)
-    if status == "unbounded":
-        return "unbounded", None, None
-
-    x = np.zeros(n)
-    x[basis] = np.maximum(phase2[:rows, -1], 0.0)
-    return "optimal", x, float(c @ x)
+    x = np.zeros(n + m)
+    x[basis] = np.maximum(tableau[:m, -1], 0.0)
+    return x[:n]

@@ -24,6 +24,7 @@ from conftest import (
     random_spec,
     random_state,
 )
+from oracles import vertex_oracle
 
 
 def _report(num, name, ok, extra=""):
@@ -105,7 +106,7 @@ def test_criterion_03_hypothesis_testing_greedy():
             g = g / g.sum()
         eps = float(rng.uniform(0.0, 0.95))
         t = tf.HypothesisTest(r, g, eps)
-        worst = max(worst, abs(tf.b_epsilon(t) - tf.vertex_oracle(t)))
+        worst = max(worst, abs(tf.b_epsilon(t) - vertex_oracle(t)))
     probes = (
         abs(tf.b_epsilon(tf.HypothesisTest([1, 0], [2 / 3, 1 / 3], 0.0)) - 2 / 3),
         abs(tf.b_epsilon(tf.HypothesisTest([0.4, 0.6], [0.4, 0.6], 0.0)) - 1.0),

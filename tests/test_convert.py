@@ -6,7 +6,6 @@ import pytest
 
 import thermoflow as tf
 from thermoflow.errors import ContextMismatch, TooLarge
-from thermoflow.simplex import solve_standard_lp
 
 from conftest import (
     majorizes,
@@ -16,6 +15,7 @@ from conftest import (
     random_spec,
     random_state,
 )
+from oracles import reference_solve
 
 
 def test_everything_flows_to_equilibrium():
@@ -165,7 +165,7 @@ def test_smallest_epsilon_across_tables():
     assert (eps <= 1e-9) == tf.can_convert(q)
 
 
-def test_oracle_size_cap_and_env_override():
+def test_oracle_size_cap():
     ctx = tf.preset("entropy")
     spec = tf.SystemSpec(13)
     state = tf.gibbs_state(spec, ctx)
@@ -266,7 +266,7 @@ def composed_lp(q):
 
 def composed_feasible(q) -> bool:
     A, b = composed_lp(q)
-    status, _, _ = solve_standard_lp(A, b, np.zeros(A.shape[1]))
+    status, _, _ = reference_solve(A, b, np.zeros(A.shape[1]))
     return status != "infeasible"
 
 
@@ -276,7 +276,7 @@ def composed_epsilon(q) -> float:
     slack = np.zeros((A.shape[0], 2 * d))
     slack[-d:] = np.hstack([-np.eye(d), np.eye(d)])
     c = np.concatenate([np.zeros(A.shape[1]), np.full(2 * d, 0.5)])
-    status, _, objective = solve_standard_lp(np.hstack([A, slack]), b, c)
+    status, _, objective = reference_solve(np.hstack([A, slack]), b, c)
     assert status == "optimal"
     return objective
 
@@ -400,7 +400,7 @@ def transport_rows(q):
 
 
 def distance_lp(q) -> float:
-    """min (1/2)|M r - s|_1 over free d_T x d_S maps M, with the dense simplex:
+    """min (1/2)|M r - s|_1 over free d_T x d_S maps M, with the reference simplex:
     the reference the closed form replaced. Slack columns u, v >= 0 carry
     M r - s = u - v."""
     A, b = transport_rows(q)
@@ -408,7 +408,7 @@ def distance_lp(q) -> float:
     slack = np.zeros((A.shape[0], 2 * d))
     slack[-d:] = np.hstack([-np.eye(d), np.eye(d)])
     c = np.concatenate([np.zeros(A.shape[1]), np.full(2 * d, 0.5)])
-    status, _, objective = solve_standard_lp(np.hstack([A, slack]), b, c)
+    status, _, objective = reference_solve(np.hstack([A, slack]), b, c)
     assert status == "optimal"
     return float(min(max(objective, 0.0), 1.0))
 

@@ -14,6 +14,7 @@ from thermoflow.errors import (
 from thermoflow.lorenz import curve_of, inverse
 
 from conftest import pushed_state, random_context, random_spec, random_state, relabeled
+from oracles import vertex_oracle
 
 
 def test_b_epsilon_full_overlap_needs_everything():
@@ -52,13 +53,13 @@ def test_vertex_oracle_matches_probes():
         ([0.4, 0.6], [0.4, 0.6], 0.0),
     ):
         t = tf.HypothesisTest(r, g, eps)
-        assert tf.vertex_oracle(t) == pytest.approx(tf.b_epsilon(t), abs=1e-12)
+        assert vertex_oracle(t) == pytest.approx(tf.b_epsilon(t), abs=1e-12)
 
 
 def test_vertex_oracle_one_dimensional():
     for eps in (0.0, 0.25, 0.9):
         t = tf.HypothesisTest([1.0], [1.0], eps)
-        assert tf.vertex_oracle(t) == pytest.approx(1.0 - eps, abs=1e-12)
+        assert vertex_oracle(t) == pytest.approx(1.0 - eps, abs=1e-12)
         assert tf.b_epsilon(t) == pytest.approx(1.0 - eps, abs=1e-12)
 
 
@@ -66,7 +67,7 @@ def test_vertex_oracle_cap():
     rng = np.random.default_rng(1)
     r = rng.dirichlet(np.ones(19))
     with pytest.raises(TooLarge):
-        tf.vertex_oracle(tf.HypothesisTest(r, r, 0.1))
+        vertex_oracle(tf.HypothesisTest(r, r, 0.1))
 
 
 def test_greedy_equals_vertex_oracle_randomized():
@@ -84,7 +85,7 @@ def test_greedy_equals_vertex_oracle_randomized():
             g /= g.sum()
         eps = float(rng.uniform(0, 0.95))
         t = tf.HypothesisTest(r, g, eps)
-        assert tf.b_epsilon(t) == pytest.approx(tf.vertex_oracle(t), abs=1e-12)
+        assert tf.b_epsilon(t) == pytest.approx(vertex_oracle(t), abs=1e-12)
 
 
 def test_d_h_monotone_in_epsilon():
@@ -162,7 +163,7 @@ def test_w_gain_two_level_probe():
     fuzzy = tf.w_gain(state, ctx, 0.5)
     assert fuzzy >= math.log(1.5) - 1e-12
     g = tf.gibbs_state(spec, ctx)
-    oracle = tf.vertex_oracle(tf.HypothesisTest(state.r, g.r, 0.5))
+    oracle = vertex_oracle(tf.HypothesisTest(state.r, g.r, 0.5))
     assert fuzzy == pytest.approx(-math.log(oracle), abs=1e-12)
 
 
@@ -322,6 +323,34 @@ def test_battery_resting_level_changes_no_verdict():
         for work in (yield_, yield_ * (1.0 + 1e-6) + 1e-6, float(rng.uniform(0.0, 2.0 * yield_))):
             offset = float(rng.uniform(-50.0, 50.0))
             assert charges(state, ctx, work, offset) == charges(state, ctx, work)
+
+
+def test_lower_cost_is_the_exact_formation_cost():
+    """The lower value is the least W with eps*(g (x) B_W -> s (x) B_0) <= eps:
+    the query holds just above it and fails just below. The value is often
+    negative at large eps, so the step scales with |W|."""
+    rng = np.random.default_rng(281)
+    for trial in range(150):
+        ctx = random_context(rng)
+        d = int(rng.integers(2, 7))
+        spec = random_spec(rng, d, ctx)
+        r = rng.dirichlet(np.ones(d))
+        if trial % 3 == 0:
+            r[rng.integers(d)] = 0.0
+            r /= r.sum()
+        state = tf.QuasiclassicalState(spec, r)
+        eps = (0.05, 0.1, float(rng.uniform(0.01, 0.9)))[trial % 3]
+        work = tf.w_cost_bounds(state, ctx, eps)[0]
+        g = tf.gibbs_state(spec, ctx)
+
+        def epsilon_at(w):
+            empty, full = tf.battery_pair(spec.labels, w)
+            return tf.smallest_epsilon(
+                tf.ConversionQuery(tf.compose(g, full), tf.compose(state, empty), ctx))
+
+        scale = max(1.0, abs(work))
+        assert epsilon_at(work + 1e-9 * scale) <= eps
+        assert epsilon_at(work - 1e-6 * scale) > eps
 
 
 def test_extractable_work_is_a_monotone():

@@ -6,6 +6,7 @@ from thermoflow import convert
 from thermoflow.simplex import solve_standard_lp
 
 from conftest import random_context, random_spec, random_state
+from oracles import reference_solve
 
 
 def test_known_optimum_with_slack():
@@ -13,7 +14,7 @@ def test_known_optimum_with_slack():
     A = np.array([[1.0, 1.0, 1.0]])
     b = np.array([1.0])
     c = np.array([-1.0, -1.0, 0.0])
-    status, x, obj = solve_standard_lp(A, b, c)
+    status, x, obj = reference_solve(A, b, c)
     assert status == "optimal"
     assert obj == pytest.approx(-1.0, abs=1e-9)
     np.testing.assert_allclose(A @ x, b, atol=1e-9)
@@ -28,7 +29,7 @@ def test_two_constraint_optimum():
     ])
     b = np.array([4.0, 12.0, 18.0])
     c = np.array([-3.0, -5.0, 0.0, 0.0, 0.0])
-    status, x, obj = solve_standard_lp(A, b, c)
+    status, x, obj = reference_solve(A, b, c)
     assert status == "optimal"
     assert obj == pytest.approx(-36.0, abs=1e-9)
     np.testing.assert_allclose(x[:2], [2.0, 6.0], atol=1e-9)
@@ -37,23 +38,22 @@ def test_two_constraint_optimum():
 def test_infeasible_detected():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0])
-    status, x, obj = solve_standard_lp(A, b, np.zeros(2))
-    assert status == "infeasible"
-    assert x is None
+    assert solve_standard_lp(A, b) is None
 
 
 def test_unbounded_detected():
     # x1 - x2 = 1, minimize -x1: push x2 up forever
     A = np.array([[1.0, -1.0]])
     b = np.array([1.0])
-    status, x, obj = solve_standard_lp(A, b, np.array([-1.0, 0.0]))
+    status, x, obj = reference_solve(A, b, np.array([-1.0, 0.0]))
     assert status == "unbounded"
 
 
 def test_redundant_rows_are_dropped():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
-    status, x, obj = solve_standard_lp(A, b, np.array([1.0, 0.0]))
+    np.testing.assert_allclose(A @ solve_standard_lp(A, b), b, atol=1e-9)
+    status, x, obj = reference_solve(A, b, np.array([1.0, 0.0]))
     assert status == "optimal"
     assert obj == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(A @ x, b, atol=1e-9)
@@ -63,7 +63,8 @@ def test_negative_rhs_rows_handled():
     # -x1 - x2 = -1 should behave like x1 + x2 = 1
     A = np.array([[-1.0, -1.0]])
     b = np.array([-1.0])
-    status, x, obj = solve_standard_lp(A, b, np.array([2.0, 1.0]))
+    np.testing.assert_allclose(A @ solve_standard_lp(A, b), b, atol=1e-9)
+    status, x, obj = reference_solve(A, b, np.array([2.0, 1.0]))
     assert status == "optimal"
     assert obj == pytest.approx(1.0, abs=1e-9)
 
@@ -76,99 +77,24 @@ def test_random_feasible_instances():
         x0 = rng.uniform(0, 2, n)
         b = A @ x0
         c = rng.uniform(0, 1, n)  # nonnegative cost keeps the LP bounded
-        status, x, obj = solve_standard_lp(A, b, c)
+        point = solve_standard_lp(A, b)
+        np.testing.assert_allclose(A @ point, b, atol=1e-8)
+        assert np.all(point >= 0.0)
+        status, x, obj = reference_solve(A, b, c)
         assert status == "optimal"
         np.testing.assert_allclose(A @ x, b, atol=1e-8)
         assert np.all(x >= -1e-12)
         assert obj <= c @ x0 + 1e-8
 
 
-# --- Reference oracle: the plain textbook pivot loop (list basis, np.outer
-# update, explicit unit-column reset). The production loop must take the same
-# pivots and return the same bits on every LP.
-
-def reference_pivot(tableau, basis, row, col):
-    pivot_row = tableau[row] / tableau[row, col]
-    column = tableau[:, col].copy()
-    tableau -= np.outer(column, pivot_row)
-    tableau[row] = pivot_row
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
-def reference_iterate(tableau, basis, tol, max_iter):
-    m = tableau.shape[0] - 1
-    for _ in range(max_iter):
-        reduced = tableau[-1, :-1]
-        improving = np.flatnonzero(reduced < -tol)
-        if improving.size == 0:
-            return "optimal"
-        col = int(improving[0])
-        column = tableau[:m, col]
-        rows = np.flatnonzero(column > tol)
-        if rows.size == 0:
-            return "unbounded"
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + tol * max(1.0, abs(best))]
-        row = int(tied[np.argmin([basis[t] for t in tied])])
-        reference_pivot(tableau, basis, row, col)
-    raise ArithmeticError("simplex iteration cap exceeded")
-
-
-def reference_solve(A, b, c, tol=1e-9, max_iter=None):
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 1000 + 200 * (m + n)
-    flip = b < 0
-    A[flip] *= -1.0
-    b = np.abs(b)
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[-1, :n] = -A.sum(axis=0)
-    tableau[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
-    status = reference_iterate(tableau, basis, tol, max_iter)
-    if status != "optimal":
-        raise ArithmeticError("phase 1 cannot be unbounded")
-    if -tableau[-1, -1] > tol:
-        return "infeasible", None, None
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            candidates = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
-            if candidates.size == 0:
-                continue
-            reference_pivot(tableau, basis, i, int(candidates[0]))
-        keep.append(i)
-    rows = len(keep)
-    phase2 = np.zeros((rows + 1, n + 1))
-    phase2[:rows, :n] = tableau[keep][:, :n]
-    phase2[:rows, -1] = tableau[keep][:, -1]
-    basis = [basis[i] for i in keep]
-    cost_basic = c[basis]
-    phase2[-1, :n] = c - cost_basic @ phase2[:rows, :n]
-    phase2[-1, -1] = -(cost_basic @ phase2[:rows, -1])
-    status = reference_iterate(phase2, basis, tol, max_iter)
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = np.zeros(n)
-    x[basis] = np.maximum(phase2[:rows, -1], 0.0)
-    return "optimal", x, float(c @ x)
-
-
-def assert_same_solution(got, want):
-    assert got[0] == want[0]
-    assert (got[1] is None) == (want[1] is None)
-    if want[1] is not None:
-        assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
+def assert_same_point(x, reference):
+    """The phase-1 point against the reference's answer at zero cost: None
+    where it says infeasible, otherwise its x bit for bit."""
+    status, want, objective = reference
+    assert status in ("optimal", "infeasible")
+    assert (x is None) == (want is None)
+    if want is not None:
+        assert x.tobytes() == want.tobytes() and objective == 0.0
 
 
 def reference_transport_lp(q):
@@ -216,18 +142,18 @@ def assert_oracle_matches_reference(q, monkeypatch):
     for bit; returns the oracle's outcome."""
     solved = []
 
-    def spy(A, b, c):
-        out = solve_standard_lp(A, b, c)
-        solved.append((A, b, c, out))
+    def spy(A, b):
+        out = solve_standard_lp(A, b)
+        solved.append((A, b, out))
         return out
 
     monkeypatch.setattr(convert, "solve_standard_lp", spy)
     got = outcome(tf.feasibility_oracle, q)
-    (A, b, c, out), = solved
+    (A, b, out), = solved
     A_ref, b_ref = reference_transport_lp(q)
     assert np.array_equal(A, A_ref) and b.tobytes() == b_ref.tobytes()
     reference = reference_solve(A_ref, b_ref, np.zeros(A_ref.shape[1]))
-    assert_same_solution(out, reference)
+    assert_same_point(out, reference)
     want = None if reference[0] == "infeasible" else outcome(reference_oracle, q, reference[1])
     assert got == want
     return got
@@ -308,34 +234,51 @@ def test_witness_lp_matches_reference_on_degenerate_queries(monkeypatch):
 
 
 def test_random_feasible_family_matches_reference():
+    """The phase-1 point matches the reference at zero cost; with a cost, the
+    reference's phase 2 ends no worse than its start and the seed point."""
     for seed in (41, 42, 43, 44):
         rng = np.random.default_rng(seed)
         for _ in range(50):
             m, n = int(rng.integers(2, 6)), int(rng.integers(4, 10))
             A = rng.normal(size=(m, n))
-            b = A @ rng.uniform(0, 2, n)
+            x0 = rng.uniform(0, 2, n)
+            b = A @ x0
+            start = reference_solve(A, b, np.zeros(n))
+            assert_same_point(solve_standard_lp(A, b), start)
             for c in (rng.uniform(0, 1, n), rng.normal(size=n)):
-                assert_same_solution(solve_standard_lp(A, b, c), reference_solve(A, b, c))
+                status, x, obj = reference_solve(A, b, c)
+                if status == "unbounded":
+                    assert c.min() < 0.0
+                    continue
+                assert status == "optimal"
+                np.testing.assert_allclose(A @ x, b, atol=1e-8)
+                assert obj <= min(c @ x0, c @ start[1]) + 1e-8
 
 
 def test_small_cases_match_reference():
     cases = [
-        ([[1.0, 1.0, 1.0]], [1.0], [-1.0, -1.0, 0.0]),
-        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], [0.0, 0.0]),
-        ([[1.0, -1.0]], [1.0], [-1.0, 0.0]),
-        ([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [1.0, 0.0]),
-        ([[-1.0, -1.0]], [-1.0], [2.0, 1.0]),
+        ([[1.0, 1.0, 1.0]], [1.0], [-1.0, -1.0, 0.0], ("optimal", -1.0)),
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], [0.0, 0.0], ("infeasible", None)),
+        ([[1.0, -1.0]], [1.0], [-1.0, 0.0], ("unbounded", None)),
+        ([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [1.0, 0.0], ("optimal", 0.0)),
+        ([[-1.0, -1.0]], [-1.0], [2.0, 1.0], ("optimal", 1.0)),
     ]
-    for A, b, c in cases:
-        assert_same_solution(solve_standard_lp(A, b, c), reference_solve(A, b, c))
+    for A, b, c, (status, objective) in cases:
+        assert_same_point(solve_standard_lp(A, b), reference_solve(A, b, np.zeros(len(c))))
+        got = reference_solve(A, b, c)
+        assert got[0] == status and got[2] == pytest.approx(objective, abs=1e-12)
 
 
 def test_iteration_cap_still_raises():
     # Two artificial variables leave the basis one pivot at a time, and a
     # third pass finds no improving column.
     A, b, c = np.eye(2), np.array([1.0, 1.0]), np.zeros(2)
-    for solve in (solve_standard_lp, reference_solve):
-        for max_iter in (1, 2):
-            with pytest.raises(ArithmeticError, match="iteration cap"):
-                solve(A, b, c, max_iter=max_iter)
-        assert_same_solution(solve(A, b, c, max_iter=3), ("optimal", np.ones(2), 0.0))
+    for max_iter in (1, 2):
+        with pytest.raises(ArithmeticError, match="iteration cap"):
+            solve_standard_lp(A, b, max_iter=max_iter)
+        with pytest.raises(ArithmeticError, match="iteration cap"):
+            reference_solve(A, b, c, max_iter=max_iter)
+    reference = reference_solve(A, b, c, max_iter=3)
+    assert reference[0] == "optimal" and reference[2] == 0.0
+    assert reference[1].tobytes() == np.ones(2).tobytes()
+    assert_same_point(solve_standard_lp(A, b, max_iter=3), reference)
