@@ -1,17 +1,18 @@
 """Asymptotic rates, equipartition sweeps, and finite-copy work gaps.
 
-Many-copy quantities never materialize the d^n product vectors: the
-n-fold product is grouped into type classes (all permutations of one
-outcome count share their probability ratio), and the greedy hypothesis
-test consumes whole classes with at most one fractional class. Class
-totals are accumulated in log space, so n in the thousands is routine
-for small d. One bisection over the classes finds the best delta.
+Many-copy quantities never materialize the d^n product vectors: the n-fold
+product is grouped into type classes (all permutations of one outcome count
+share their probability ratio), and the greedy hypothesis test consumes whole
+classes with at most one fractional class. Class totals are accumulated in log
+space, by blocks of BLOCK classes (longer powers with short key runs take a SIMD
+sort), so n in the thousands is routine for small d. One bisection finds the best delta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -33,6 +34,8 @@ from .theory import (
 )
 
 EQUILIBRIUM_ATOL = 1e-12
+BLOCK = 8192  # classes per g-mass prefix block; no table of at most BLOCK leaves the stable sort
+SHORT_RUN = 64  # key runs (1 + fewer of descents, non-descents) below this mean: SIMD sort
 
 
 @dataclass(frozen=True)
@@ -44,30 +47,70 @@ class AepSweep:
     limit: float
 
 
+class _BlockPrefix:
+    """ln g mass of the first k + 1 sorted classes, as ``prefix[k]``: a block's running
+    logaddexp, built on first read and seeded with the mass before the block (a logsumexp
+    per whole block; terms floored 700 below its largest add < 8e-301 to a sum >= 1)."""
+
+    def __init__(self, log_g_mass: np.ndarray):
+        self.log_g_mass, self.blocks = log_g_mass, {}
+
+    @cached_property
+    def before(self) -> np.ndarray:
+        whole = self.log_g_mass[:self.log_g_mass.size // BLOCK * BLOCK].reshape(-1, BLOCK)
+        top = whole.max(axis=1)
+        terms = whole - np.where(np.isfinite(top), top, 0.0)[:, None]  # all -inf: sums to -inf
+        np.exp(np.maximum(terms, -700.0, out=terms), out=terms)  # exp: 20-200x slower below -707.7
+        return np.logaddexp.accumulate(np.append(-np.inf, top + np.log(terms.sum(axis=1))))
+
+    def __getitem__(self, k: int):
+        j, i = divmod(k, BLOCK)
+        if j not in self.blocks:
+            block = self.log_g_mass[j * BLOCK:(j + 1) * BLOCK]
+            if j:  # block 0 is the plain running accumulate
+                block = np.append(np.logaddexp(self.before[j], block[0]), block[1:])
+            self.blocks[j] = np.logaddexp.accumulate(block)
+        return self.blocks[j][i]
+
+
 class _SortedClasses:
     """Type classes sorted by evidence ratio, with prefix tables.
 
     Answers "optimal log Type II error at detection threshold `need`"
     in O(log n_classes) per query, and the lower cost bound in as many steps.
-    """
+    Past BLOCK classes, short key runs take a SIMD sort (see BLOCK, SHORT_RUN)."""
 
     def __init__(self, power: list):
         """Sorts the power in the one-item list ``power``, emptying it so that each
-        table nothing else holds is freed once its sorted copy exists."""
+        table nothing else holds is freed once it has been used."""
         log_mult, log_r, log_g = attrgetter("log_mult", "log_r", "log_g")(power.pop())
-        # -ratio; zero-probability classes get +inf and sort to the tail
-        order = np.argsort(log_g - log_r, kind="stable")
-        # every class before that tail, also one whose r mass underflowed to 0
-        live = np.count_nonzero(log_r > -np.inf)
-        log_mass = log_r + log_mult
+        key = log_g - log_r  # -ratio; zero-probability classes get +inf and sort to the tail
+        live = np.count_nonzero(log_r > -np.inf)  # classes before the tail, underflowed r too
+        r_mass = log_r + log_mult  # the masses come unsorted, so the power is freed first
         del log_r
-        self.r_mass = np.exp(log_mass, out=log_mass)[order]
-        log_mass = np.add(log_g, log_mult, out=log_mass)
+        log_g_mass = log_g + log_mult
         del log_g, log_mult
-        self.log_g_mass = log_mass[order]
-        del log_mass, order
+        np.exp(r_mass, out=r_mass)
+        if key.size <= BLOCK or key.size >= SHORT_RUN * (1 + min(
+                down := np.count_nonzero(key[1:] < key[:-1]), key.size - 1 - down)):
+            order = np.argsort(key, kind="stable")  # timsort merges long runs fast
+        else:  # numpy's SIMD argsort, then each run of equal keys back in index order
+            order = np.argsort(key)
+            key = key[order]
+            start = np.append(True, key[1:] != key[:-1])  # a run of equal keys starts here
+            if not start.all():  # sort (run id, index) pairs packed in one int64, in place
+                packed = start.astype(np.int64)  # cumsum(start) would cast a copy
+                np.left_shift(np.cumsum(packed, out=packed), 32, out=packed)
+                packed |= order
+                packed.sort()
+                order = np.bitwise_and(packed, 0xFFFFFFFF, out=packed)  # the old order is freed
+        del key
+        self.r_mass = r_mass[order]
+        del r_mass
+        self.log_g_mass = log_g_mass[order]
+        del log_g_mass, order
         self.cum_r = np.cumsum(self.r_mass)
-        self.prefix_log_g = np.logaddexp.accumulate(self.log_g_mass)
+        self.prefix_log_g = _BlockPrefix(self.log_g_mass)
         self.log_b_all = float(self.prefix_log_g[live - 1])
 
     def log_b(self, need: float) -> float:

@@ -134,6 +134,8 @@ def _cmd_rate(args) -> tuple[str, int]:
 def _cmd_aep(args) -> tuple[str, int]:
     ctx, (state,) = _load_states(args, args.state)
     n_list = [int(part) for part in args.n.split(",") if part]
+    if not n_list:
+        raise ValueError(f"--n {args.n!r} lists no copy count")
     sweep = asymptotics.aep_sweep(state, ctx, args.epsilon, n_list)
     if args.format == "json":
         payload = {"epsilon": sweep.epsilon, "limit": sweep.limit,

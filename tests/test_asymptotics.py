@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import thermoflow as tf
-from thermoflow.asymptotics import _SortedClasses
+from thermoflow.asymptotics import BLOCK, SHORT_RUN, _SortedClasses
 from thermoflow.errors import (
     EntropyRepresentation,
     EpsilonOutOfRange,
@@ -290,9 +290,25 @@ def test_many_copy_calls_near_the_cap_hold_fewer_than_six_tables():
     rng = np.random.default_rng(316)
     ctx = random_context(rng, "helmholtz")
     state = tf.QuasiclassicalState(random_spec(rng, 3, ctx), [0.5, 0.3, 0.2])
-    bound = 6 * 8 * math.comb(1400 + 2, 2)
-    for call in (lambda: tf.finite_n_gap(state, ctx, 0.1, 1400),
-                 lambda: tf.aep_sweep(state, ctx, 0.1, [700, 1400])):
+    size = math.comb(1400 + 2, 2)
+    calls = [(size, lambda: tf.finite_n_gap(state, ctx, 0.1, 1400)),
+             (size, lambda: tf.aep_sweep(state, ctx, 0.1, [700, 1400]))]
+    # d = 5, n = 62 (720,720 classes) and d = 4, n = 175 (924,176 classes) take
+    # the SIMD sort; the second has two alike levels, so nearly every class ties
+    # and the tie repair runs
+    five = tf.QuasiclassicalState(random_spec(rng, 5, ctx), rng.dirichlet(np.ones(5)))
+    tied = tf.QuasiclassicalState(tf.SystemSpec(4, (("H", [0.0, 0.5, 0.5, 1.5]),)),
+                                  [0.4, 0.25, 0.25, 0.1])
+    for other, n in ((five, 62), (tied, 175)):
+        power = tf.tensor_power_compressed(other, ctx, n)
+        key = power.log_g - power.log_r
+        descents = np.count_nonzero(key[1:] < key[:-1])
+        assert key.size < SHORT_RUN * (1 + min(descents, key.size - 1 - descents))
+        assert (np.unique(key).size < key.size / 2) == (other is tied)
+        calls.append((key.size, lambda other=other, n=n: tf.finite_n_gap(other, ctx, 0.1, n)))
+        del power, key
+    for size, call in calls:
+        bound = 6 * 8 * size
         tracemalloc.start()
         try:
             call()
@@ -300,6 +316,100 @@ def test_many_copy_calls_near_the_cap_hold_fewer_than_six_tables():
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def fsum_prefix_log_g(log_g_mass, reads):
+    """ln of the g mass of classes 0..k for each k in ``reads``. Each stretch
+    between sorted reads is summed by math.fsum around its own largest term;
+    a read adds up the stretch sums so far with math.fsum."""
+    want, tops, sums, lo = {}, [], [], 0
+    for k in sorted(set(reads)):
+        if k >= lo:
+            stretch = log_g_mass[lo:k + 1]
+            tops.append(float(stretch.max()))
+            sums.append(math.fsum(np.exp(stretch - tops[-1]).tolist()))
+            lo = k + 1
+        top = max(tops)
+        want[k] = top + math.log(math.fsum(s * math.exp(t - top) for t, s in zip(tops, sums)))
+    return want
+
+
+@pytest.mark.parametrize("d, n, scale", [
+    (2, 8190, 1.0),  # 8191 classes
+    (2, 8191, 1.0),  # 8192: the largest table that keeps one running logaddexp
+    (2, 8192, 1.0),  # 8193: one whole block and a block of one class
+    (5, 62, 1.0),  # 720,720 classes, near the cap
+    (3, 1400, 6.0),  # g masses span more than 700 inside one block
+])
+def test_g_mass_prefix_reads_match_an_fsum_reference(d, n, scale):
+    rng = np.random.default_rng([353, d, n])
+    ctx = tf.preset("helmholtz", beta=1.0)
+    spec = tf.SystemSpec(d, (("H", scale * rng.uniform(-2, 2, d)),))
+    state = tf.QuasiclassicalState(spec, rng.dirichlet(np.ones(d)))
+    classes = _SortedClasses([tf.tensor_power_compressed(state, ctx, n)])
+    size = classes.log_g_mass.size
+    if size <= BLOCK:  # block 0 is the plain running accumulate
+        np.testing.assert_array_equal([classes.prefix_log_g[k] for k in range(size)],
+                                      np.logaddexp.accumulate(classes.log_g_mass))
+    if scale > 1.0:  # some terms of a block lie below the floor, 700 under its largest
+        whole = classes.log_g_mass[:size // BLOCK * BLOCK].reshape(-1, BLOCK)
+        assert np.ptp(whole, axis=1).max() > 700
+    edges = [k for j in range(1, size // BLOCK + 1) for k in (j * BLOCK - 1, j * BLOCK)]
+    reads = [k for k in edges if k < size] + [0, size - 1] + rng.integers(size, size=200).tolist()
+    want = fsum_prefix_log_g(classes.log_g_mass, reads)
+    for k in reads:
+        assert classes.prefix_log_g[k] == pytest.approx(want[k], rel=1e-13, abs=1e-13), k
+
+
+@pytest.mark.parametrize("n", [140, 200])
+def test_g_mass_prefix_stays_minus_infinity_over_blocks_without_mass(n):
+    # k ln g overflows to -inf for most classes: they sort first and fill whole blocks
+    ctx = tf.preset("grand_potential", beta=1.0, mu=0.5)
+    spec = tf.SystemSpec(3, (("H", np.zeros(3)), ("N", np.array([0.0, 1.0, 1e308]))))
+    state = tf.QuasiclassicalState(spec, np.array([0.5, 0.3, 0.2]))
+    with np.errstate(over="ignore"):
+        power = tf.tensor_power_compressed(state, ctx, n)
+    classes = _SortedClasses([power])
+    size = classes.log_g_mass.size
+    assert size > BLOCK and np.isneginf(classes.log_g_mass[:BLOCK]).all()
+    np.testing.assert_array_equal([classes.prefix_log_g[k] for k in range(size)],
+                                  np.logaddexp.accumulate(classes.log_g_mass))
+    assert classes.log_b_all == float(np.logaddexp.reduce(classes.log_g_mass))
+
+
+def stable_tables(power):
+    """r_mass, log_g_mass and cum_r in the order of a stable argsort of -ratio."""
+    order = np.argsort(power.log_g - power.log_r, kind="stable")
+    r_mass = np.exp(power.log_r + power.log_mult)[order]
+    return r_mass, (power.log_g + power.log_mult)[order], np.cumsum(r_mass)
+
+
+@pytest.mark.parametrize("d, n", [(4, 40), (5, 20), (4, 100), (5, 36)])
+def test_short_runs_sort_to_the_stable_tables(d, n):
+    rng = np.random.default_rng([359, d, n])
+    ctx = tf.preset("helmholtz", beta=1.0)
+    repaired = 0
+    for kind in ("random", "degenerate", "integer", "zero"):
+        energies, r = rng.uniform(-2, 2, d), rng.dirichlet(np.ones(d))
+        if kind == "degenerate":  # two alike levels: swapping their counts ties
+            energies[1], r[1] = energies[0], r[0]
+        elif kind == "integer":  # commensurate log ratios tie across many classes
+            energies = rng.integers(-3, 4, d).astype(float)
+            r = np.exp(-rng.integers(0, 4, d).astype(float))
+        elif kind == "zero":  # +inf keys for every class that uses the last level
+            r[-1] = 0.0
+        state = tf.QuasiclassicalState(tf.SystemSpec(d, (("H", energies),)), r / r.sum())
+        power = tf.tensor_power_compressed(state, ctx, n)
+        key = power.log_g - power.log_r
+        descents = np.count_nonzero(key[1:] < key[:-1])
+        assert BLOCK < key.size < SHORT_RUN * (1 + min(descents, key.size - 1 - descents)), kind
+        # the default argsort leaves ties out of index order: the repair has work
+        repaired += not np.array_equal(np.argsort(key), np.argsort(key, kind="stable"))
+        classes = _SortedClasses([power])
+        for got, want in zip((classes.r_mass, classes.log_g_mass, classes.cum_r),
+                             stable_tables(power)):
+            np.testing.assert_array_equal(got, want, err_msg=kind)
+    assert repaired
 
 
 def test_log_b_many_matches_scalar_lookup():

@@ -538,6 +538,17 @@ def test_out_file_holds_exactly_what_the_command_prints(tmp_path, capsys, hot_st
     assert out.read_bytes() == printed.encode()
 
 
+@pytest.mark.parametrize("n_arg", [",", "", ",,"])
+def test_aep_without_a_copy_count_exits_2(hot_state, capsys, tmp_path, n_arg):
+    out = tmp_path / "out.csv"
+    for extra in ((), ("--out", str(out))):
+        code, printed, err = run_main(capsys, "aep", hot_state, "--epsilon", "0.1",
+                                      "--n", n_arg, *extra)
+        assert (code, printed) == (2, "")
+        assert err == f"error: --n {n_arg!r} lists no copy count\n"
+    assert not out.exists()
+
+
 def test_witness_disagreement_is_one_error_line(tmp_path, capsys, monkeypatch, hot_state):
     _, printed, _ = run_main(capsys, "gibbs", hot_state)
     free = tmp_path / "g.json"
