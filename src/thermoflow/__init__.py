@@ -23,7 +23,6 @@ from .convert import (
 from .lorenz import DominationResult, LorenzCurve, build_curve, compare, dominates
 from .oneshot import (
     HypothesisTest,
-    WorkReport,
     b_epsilon,
     battery_pair,
     d_h_epsilon,
@@ -32,7 +31,6 @@ from .oneshot import (
     shannon_entropy,
     w_cost_bounds,
     w_gain,
-    work_report,
 )
 from .theory import (
     CompressedState,

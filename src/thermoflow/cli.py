@@ -1,18 +1,19 @@
 """Command-line front end.
 
-Subcommands: gibbs, lorenz, convert, work, rate, aep, validate. Inputs
-are JSON state descriptors; the context comes from --ctx, from inline
-flags (--beta, --mu, --intensive label=value), or from the state file
-itself, in that order of precedence. Each command returns its output
-text and exit code: 0 success or convertible, 1 not convertible (or a
-failed validation). ``main`` alone writes the text, to --out or to
-stdout, and turns any error into one ``error:`` line and exit code 2.
+Subcommands: gibbs, lorenz, convert, work, rate, aep, validate, one
+``_COMMANDS`` entry each. Inputs are JSON state descriptors; the context
+comes from --ctx, from inline flags (--beta, --mu, --intensive
+label=value), or from the state files, in that order of precedence.
+``main`` loads the state files and resolves the context once; the kernel
+only computes its text and exit code: 0 success or convertible, 1 not
+convertible (or a failed validation). ``main`` alone writes the text, to
+--out or to stdout, and turns any error into one ``error:`` line and
+exit code 2. ``validate`` reads the raw descriptor, so it takes no context.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -66,14 +67,17 @@ def _resolve_context(args, embedded):
     return embedded[0]
 
 
-def _load_states(args, *paths):
-    loaded = [stateio.load_state(p) for p in paths]
-    ctx = _resolve_context(args, [c for c, _ in loaded])
-    return ctx, [s for _, s in loaded]
+def _copy_count(n_arg: str, part: str) -> int:
+    """One entry of ``--n``: an integer of at least 1."""
+    try:
+        if int(part) >= 1:
+            return int(part)
+    except ValueError:
+        pass
+    raise ValueError(f"--n {n_arg!r}: {part!r} is not a copy count of at least 1")
 
 
-def _cmd_gibbs(args) -> tuple[str, int]:
-    ctx, (state,) = _load_states(args, args.state)
+def _cmd_gibbs(args, ctx, state) -> tuple[str, int]:
     g, log_z = theory._equilibrium(state.spec, ctx)
     payload = stateio.state_to_dict(theory.QuasiclassicalState(state.spec, g), ctx)
     try:
@@ -84,8 +88,7 @@ def _cmd_gibbs(args) -> tuple[str, int]:
     return stateio.dumps(payload), 0
 
 
-def _cmd_lorenz(args) -> tuple[str, int]:
-    ctx, (state,) = _load_states(args, args.state)
+def _cmd_lorenz(args, ctx, state) -> tuple[str, int]:
     curve = lorenz.build_curve(state, ctx)
     try:
         width = curve.width
@@ -94,14 +97,12 @@ def _cmd_lorenz(args) -> tuple[str, int]:
     if width == 0.0:  # the points are Z u, so an underflowing Z is refused too
         raise _outside_double_range(args.state, curve.log_width)
     if args.format == "json":
-        payload = {"points": [[float(x), float(y)] for x, y in curve.points],
-                   "width": width}
+        payload = {"points": [[float(x), float(y)] for x, y in curve.points], "width": width}
         return stateio.dumps(payload), 0
     return _csv("x,y", ((_fmt(x), _fmt(y)) for x, y in curve.points)), 0
 
 
-def _cmd_convert(args) -> tuple[str, int]:
-    ctx, (source, target) = _load_states(args, args.source, args.target)
+def _cmd_convert(args, ctx, source, target) -> tuple[str, int]:
     query = convert.ConversionQuery(source, target, ctx)
     verdict = convert.can_convert(query)
     if args.witness:
@@ -110,30 +111,28 @@ def _cmd_convert(args) -> tuple[str, int]:
             raise ArithmeticError("curve verdict and witness oracle disagree")
         if witness is not None:
             rows, cols = witness.shape
-            payload = {
-                "rows": rows,
-                "cols": cols,
-                "entries": [float(v) for v in witness.entries.ravel()],
-            }
+            payload = {"rows": rows, "cols": cols,
+                       "entries": [float(v) for v in witness.entries.ravel()]}
             with open(args.witness, "w", encoding="utf-8") as handle:
                 handle.write(stateio.dumps(payload))
     return ("convertible\n", 0) if verdict else ("not convertible\n", 1)
 
 
-def _cmd_work(args) -> tuple[str, int]:
-    ctx, (state,) = _load_states(args, args.state)
-    report = oneshot.work_report(state, ctx, args.epsilon)
-    return stateio.dumps(dataclasses.asdict(report)), 0
+def _cmd_work(args, ctx, state) -> tuple[str, int]:
+    """Yield, plus the cost bounds, which need epsilon > 0 (null at epsilon = 0)."""
+    eps = args.epsilon
+    gain = oneshot.w_gain(state, ctx, eps)
+    lower, upper = oneshot.w_cost_bounds(state, ctx, eps) if eps > 0.0 else (None, None)
+    return stateio.dumps({"epsilon": eps, "w_gain": gain,
+                          "w_cost_lower": lower, "w_cost_upper": upper}), 0
 
 
-def _cmd_rate(args) -> tuple[str, int]:
-    ctx, (source, target) = _load_states(args, args.source, args.target)
+def _cmd_rate(args, ctx, source, target) -> tuple[str, int]:
     return _fmt(asymptotics.conversion_rate(source, target, ctx)) + "\n", 0
 
 
-def _cmd_aep(args) -> tuple[str, int]:
-    ctx, (state,) = _load_states(args, args.state)
-    n_list = [int(part) for part in args.n.split(",") if part]
+def _cmd_aep(args, ctx, state) -> tuple[str, int]:
+    n_list = [_copy_count(args.n, part) for part in args.n.split(",") if part]
     if not n_list:
         raise ValueError(f"--n {args.n!r} lists no copy count")
     sweep = asymptotics.aep_sweep(state, ctx, args.epsilon, n_list)
@@ -145,7 +144,7 @@ def _cmd_aep(args) -> tuple[str, int]:
                 ((str(n), _fmt(pc), _fmt(sweep.limit)) for n, pc in sweep.rows)), 0
 
 
-def _cmd_validate(args) -> tuple[str, int]:
+def _cmd_validate(args, _ctx) -> tuple[str, int]:
     ctx, spec, r = stateio.read_descriptor(args.state)
     theory._check_operator_count(spec, ctx)
     total = float(r.sum())
@@ -158,12 +157,31 @@ def _cmd_validate(args) -> tuple[str, int]:
     return stateio.dumps({"sum_r": total, **checks}), 0 if all(checks.values()) else 1
 
 
-def _add_context_flags(parser):
-    parser.add_argument("--ctx", help="context descriptor file")
-    parser.add_argument("--beta", type=float, help="inverse temperature")
-    parser.add_argument("--mu", type=float, help="chemical potential shortcut")
-    parser.add_argument("--intensive", action="append", metavar="LABEL=VALUE",
-                        help="extra intensive value (repeatable)")
+_OUT = ("--out", {})
+_FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
+_CONTEXT_FLAGS = (
+    ("--ctx", {"help": "context descriptor file"}),
+    ("--beta", {"type": float, "help": "inverse temperature"}),
+    ("--mu", {"type": float, "help": "chemical potential shortcut"}),
+    ("--intensive", {"action": "append", "metavar": "LABEL=VALUE",
+                     "help": "extra intensive value (repeatable)"}),
+)
+
+# name: (kernel, help, state-file positionals, further arguments in order)
+_COMMANDS = {
+    "gibbs": (_cmd_gibbs, "equilibrium state and partition function", ("state",), (_OUT,)),
+    "lorenz": (_cmd_lorenz, "rescaled Lorenz curve breakpoints", ("state",), (_OUT, _FORMAT)),
+    "convert": (_cmd_convert, "decide source -> target convertibility", ("source", "target"),
+                (("--witness", {"help": "write a stochastic witness matrix here"}),)),
+    "work": (_cmd_work, "work yield and cost bounds", ("state",),
+             (("--epsilon", {"type": float, "default": 0.0}), _OUT)),
+    "rate": (_cmd_rate, "asymptotic conversion rate", ("source", "target"), (_OUT,)),
+    "aep": (_cmd_aep, "per-copy entropy sweep over tensor powers", ("state",),
+            (("--epsilon", {"type": float, "required": True}),
+             ("--n", {"required": True, "help": "comma-separated copy counts"}), _OUT, _FORMAT)),
+    "validate": (_cmd_validate, "normalization and eigensubspace report", (),
+                 (("state", {}), _OUT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,62 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resource-theoretic thermodynamics for quasiclassical states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gibbs", help="equilibrium state and partition function")
-    p.add_argument("state")
-    p.add_argument("--out")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_gibbs)
-
-    p = sub.add_parser("lorenz", help="rescaled Lorenz curve breakpoints")
-    p.add_argument("state")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_lorenz)
-
-    p = sub.add_parser("convert", help="decide source -> target convertibility")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--witness", help="write a stochastic witness matrix here")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("work", help="work yield and cost bounds")
-    p.add_argument("state")
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--out")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_work)
-
-    p = sub.add_parser("rate", help="asymptotic conversion rate")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--out")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_rate)
-
-    p = sub.add_parser("aep", help="per-copy entropy sweep over tensor powers")
-    p.add_argument("state")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--n", required=True, help="comma-separated copy counts")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_aep)
-
-    p = sub.add_parser("validate", help="normalization and eigensubspace report")
-    p.add_argument("state")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_validate)
-
+    for name, (_, help_text, files, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*((f, {}) for f in files), *extra,
+                             *(_CONTEXT_FLAGS if files else ())):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    kernel, _, files, _ = _COMMANDS[args.command]
     try:
-        text, code = args.func(args)
+        loaded = [stateio.load_state(getattr(args, f)) for f in files]
+        ctx = _resolve_context(args, [c for c, _ in loaded]) if files else None
+        text, code = kernel(args, ctx, *(s for _, s in loaded))
         if getattr(args, "out", None):  # convert has no --out
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

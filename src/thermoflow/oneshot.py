@@ -182,30 +182,6 @@ def resource_yield(state: QuasiclassicalState, ctx: TheoryContext) -> float:
     return math.log(state.dim) - shannon_entropy(state.r)
 
 
-@dataclass(frozen=True)
-class WorkReport:
-    """Work summary for one state at one failure tolerance.
-
-    Cost bounds are None at epsilon = 0, where only the yield is defined.
-    """
-
-    epsilon: float
-    w_gain: float
-    w_cost_lower: float | None
-    w_cost_upper: float | None
-
-
-def work_report(state: QuasiclassicalState, ctx: TheoryContext,
-                epsilon: float) -> WorkReport:
-    """Yield plus cost bounds; cost bounds need epsilon strictly inside (0, 1)."""
-    gain = w_gain(state, ctx, epsilon)
-    if epsilon > 0.0:
-        lower, upper = w_cost_bounds(state, ctx, epsilon)
-    else:
-        lower = upper = None
-    return WorkReport(epsilon, gain, lower, upper)
-
-
 def battery_pair(labels, work: float):
     """(B_0, B_W) on the two-level ladder {0, W}; only the level difference
     is physical. The spec copies the given labels, stores W in the energy

@@ -538,14 +538,24 @@ def test_out_file_holds_exactly_what_the_command_prints(tmp_path, capsys, hot_st
     assert out.read_bytes() == printed.encode()
 
 
-@pytest.mark.parametrize("n_arg", [",", "", ",,"])
+NO_COPY_COUNT = {
+    ",": "--n ',' lists no copy count",
+    "": "--n '' lists no copy count",
+    ",,": "--n ',,' lists no copy count",
+    "4,x": "--n '4,x': 'x' is not a copy count of at least 1",
+    "0": "--n '0': '0' is not a copy count of at least 1",
+    "2,-3": "--n '2,-3': '-3' is not a copy count of at least 1",
+}
+
+
+@pytest.mark.parametrize("n_arg", list(NO_COPY_COUNT))
 def test_aep_without_a_copy_count_exits_2(hot_state, capsys, tmp_path, n_arg):
     out = tmp_path / "out.csv"
     for extra in ((), ("--out", str(out))):
         code, printed, err = run_main(capsys, "aep", hot_state, "--epsilon", "0.1",
                                       "--n", n_arg, *extra)
         assert (code, printed) == (2, "")
-        assert err == f"error: --n {n_arg!r} lists no copy count\n"
+        assert err == f"error: {NO_COPY_COUNT[n_arg]}\n"
     assert not out.exists()
 
 
@@ -576,3 +586,58 @@ def test_work_never_prints_invalid_json(tmp_path, capsys):
     code, printed, err = run_main(capsys, "work", path, "--epsilon", "0")
     assert (code, printed) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_work_report_epsilon_zero_has_no_cost_bounds(tmp_path, capsys):
+    path = helmholtz_state(tmp_path, "two.json", [0.0, 1.0], [1.0, 0.0])
+    _, printed, _ = run_main(capsys, "gibbs", path)
+    free = write_json(tmp_path / "free.json", json.loads(printed))
+    code, printed, err = run_main(capsys, "work", free, "--epsilon", "0")
+    report = json.loads(printed)
+    assert (code, err) == (0, "")
+    assert report["w_gain"] == pytest.approx(0.0, abs=1e-12)
+    assert report["w_cost_lower"] is None and report["w_cost_upper"] is None
+    code, printed, err = run_main(capsys, "work", path, "--epsilon", "0.2")
+    fuller = json.loads(printed)
+    assert (code, err) == (0, "")
+    assert fuller["w_cost_lower"] <= fuller["w_cost_upper"]
+
+
+def help_text(capsys, *args):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*args, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_every_command_has_help_and_only_state_readers_take_a_context(
+        tmp_path, capsys, hot_state):
+    ctx = write_json(tmp_path / "ctx.json", {
+        "representation": "energy", "beta": 1.0, "intensive": [],
+    })
+    inline = ("--ctx", ctx, "--beta", "2", "--mu", "0.5", "--intensive", "N=0.1")
+    readers = {
+        "gibbs": (hot_state,),
+        "lorenz": (hot_state,),
+        "convert": (hot_state, hot_state),
+        "work": (hot_state,),
+        "rate": (hot_state, hot_state),
+        "aep": (hot_state, "--epsilon", "0.1", "--n", "1"),
+    }
+    top = help_text(capsys)
+    assert top.startswith("usage: thermoflow ")
+    names = top[top.index("{") + 1:top.index("}")].split(",")
+    assert sorted(names) == sorted([*readers, "validate"])
+    for name in names:
+        text = help_text(capsys, name)
+        assert text.startswith(f"usage: thermoflow {name} "), text
+        assert all((flag in text) == (name in readers) for flag in inline[::2]), name
+    for name, argv in readers.items():
+        code, _, err = run_main(capsys, name, *argv, *inline)
+        assert code in (0, 1), (name, err)
+        assert err == "warning: --ctx file overrides inline context flags\n"
+    for flag, value in zip(inline[::2], inline[1::2]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["validate", hot_state, flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

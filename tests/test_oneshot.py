@@ -5,6 +5,7 @@ import pytest
 
 import thermoflow as tf
 from thermoflow.errors import (
+    DimensionMismatch,
     EnergyRepresentation,
     EntropyRepresentation,
     EpsilonOutOfRange,
@@ -139,6 +140,13 @@ def test_non_finite_probabilities_rejected():
             tf.relative_entropy(bad, [0.2, 0.3, 0.5])
 
 
+def test_lengths_that_differ_are_rejected():
+    with pytest.raises(DimensionMismatch):
+        tf.HypothesisTest([0.5, 0.5], [0.2, 0.3, 0.5], 0.1)
+    with pytest.raises(DimensionMismatch):
+        tf.relative_entropy([0.2, 0.3, 0.5], [0.5, 0.5])
+
+
 def test_entropies():
     assert tf.shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
     assert tf.shannon_entropy([1.0, 0.0]) == 0.0
@@ -244,16 +252,6 @@ def test_resource_yield():
     assert tf.resource_yield(tilted, ctx) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(EnergyRepresentation):
         tf.resource_yield(pure, tf.preset("helmholtz", beta=1.0))
-
-
-def test_work_report_epsilon_zero_has_no_cost_bounds():
-    ctx = tf.preset("helmholtz", beta=1.0)
-    spec = tf.SystemSpec(2, (("H", [0.0, 1.0]),))
-    report = tf.work_report(tf.gibbs_state(spec, ctx), ctx, 0.0)
-    assert report.w_gain == pytest.approx(0.0, abs=1e-12)
-    assert report.w_cost_lower is None and report.w_cost_upper is None
-    fuller = tf.work_report(tf.QuasiclassicalState(spec, [1.0, 0.0]), ctx, 0.2)
-    assert fuller.w_cost_lower <= fuller.w_cost_upper
 
 
 def charges(state, ctx, work, offset=None):

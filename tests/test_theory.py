@@ -83,6 +83,11 @@ def test_preset_magnetic_components():
     assert single.intensive == (("B", 0.7),)
 
 
+def test_preset_grand_mu_by_label():
+    ctx = tf.preset("grand_potential", beta=1, mu={"e": 0.2, "h": -0.1})
+    assert ctx.intensive == (("mu_e", 0.2), ("mu_h", -0.1))
+
+
 def test_preset_missing_parameter():
     with pytest.raises(MissingParameter):
         tf.preset("helmholtz")
@@ -290,6 +295,8 @@ def test_tensor_power_cap():
     # 167,668,501 classes, refused before any allocation
     with pytest.raises(TooLarge, match="167668501 type classes exceed the cap of 1000000"):
         tf.tensor_power_compressed(state, ctx, 1000)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        tf.tensor_power_compressed(state, ctx, 0)
 
 
 def reference_compositions(n, d):
