@@ -18,20 +18,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import TargetIsEquilibrium
-from .oneshot import (
-    _check_epsilon,
-    _equilibrium_divergence,
-    _require_energy,
-    shannon_entropy,
-)
-from .theory import (
-    CompressedState,
-    QuasiclassicalState,
-    TheoryContext,
-    _check_operator_count,
-    log_partition_function,
-    tensor_power_compressed,
-)
+from .oneshot import _check_epsilon, _equilibrium_divergence, _require_energy
+from .theory import CompressedState, QuasiclassicalState, TheoryContext, tensor_power_compressed
 
 EQUILIBRIUM_ATOL = 1e-12
 BLOCK = 8192  # classes per g-mass prefix block; no table of at most BLOCK leaves the stable sort
@@ -169,21 +157,14 @@ def compressed_d_h_epsilon(cs: CompressedState, epsilon: float) -> float:
 
 
 def free_energy_rate(state: QuasiclassicalState, ctx: TheoryContext) -> float:
-    """Asymptotic per-copy work content of a state.
+    """Asymptotic per-copy work content of a state: (1/beta) D(r || g).
 
-    <H>_r - T S(r) - sum_i p_i <X_i>_r + T ln Z with T = 1/beta, which
-    equals (1/beta) times the relative entropy of r from its equilibrium
-    ensemble.
+    That is the free energy <H>_r - T S(r) - sum_i p_i <X_i>_r + T ln Z
+    (T = 1/beta) above equilibrium, read from ln r - ln g: a gauge shift
+    moves <H>_r and T ln Z alike, and their difference would lose digits.
     """
     _require_energy(ctx)
-    _check_operator_count(state.spec, ctx)
-    temperature = ctx.temperature
-    table = state.spec.operator_matrix()
-    means = table @ state.r
-    rate = float(means[0]) - temperature * shannon_entropy(state.r)
-    for (_, p_value), mean in zip(ctx.intensive, means[1:]):
-        rate -= p_value * float(mean)
-    return rate + temperature * log_partition_function(state.spec, ctx)
+    return _equilibrium_divergence(state, ctx) / ctx.beta
 
 
 def aep_sweep(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float,

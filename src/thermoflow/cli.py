@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, convert, lorenz, oneshot, stateio, theory
-from .errors import ThermoflowError
+from .errors import ThermoflowError, TooLarge
 
 
 def _fmt(value: float) -> str:
@@ -135,7 +135,10 @@ def _cmd_aep(args, ctx, state) -> tuple[str, int]:
     n_list = [_copy_count(args.n, part) for part in args.n.split(",") if part]
     if not n_list:
         raise ValueError(f"--n {args.n!r} lists no copy count")
-    sweep = asymptotics.aep_sweep(state, ctx, args.epsilon, n_list)
+    try:
+        sweep = asymptotics.aep_sweep(state, ctx, args.epsilon, n_list)
+    except TooLarge as exc:
+        raise TooLarge(f"--n {args.n!r}: {exc}") from None
     if args.format == "json":
         payload = {"epsilon": sweep.epsilon, "limit": sweep.limit,
                    "rows": [[n, pc] for n, pc in sweep.rows]}

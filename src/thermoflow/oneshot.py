@@ -8,6 +8,11 @@ are the Lorenz curve of (r, g) on the unit axis, so the test is the
 curve read backwards (``lorenz.inverse``). Work extracted from or paid
 to create one copy of a state follows from that error probability, in
 units of k_B T via the 1/beta prefactor.
+
+Every quantity of a state reads its r and one ``_equilibrium`` g as they
+are: one curve, and one D(r || g) for the rates. Only vectors a caller
+supplies (``HypothesisTest``, ``shannon_entropy``, ``relative_entropy``)
+are checked and renormalized here.
 """
 
 from __future__ import annotations
@@ -78,14 +83,21 @@ def b_epsilon(test: HypothesisTest) -> float:
     sum q r >= 1 - epsilon, minimize sum q g}, reached greedily. Threshold 1
     accepts all of supp r, even where the rounded r total passes 1 before it.
     """
-    need = 1.0 - test.epsilon
-    curve = curve_of(test.r, test.g)
-    return float(inverse(curve, test.r, test.g, np.array([need if need < 1.0 else math.inf]))[0])
+    return _b_epsilon(test.r, test.g, test.epsilon)
 
 
 def d_h_epsilon(test: HypothesisTest) -> float:
     """Hypothesis-testing relative entropy, -ln b. Infinite when b = 0."""
-    b = b_epsilon(test)
+    return _d_h_epsilon(test.r, test.g, test.epsilon)
+
+
+def _b_epsilon(r: np.ndarray, g: np.ndarray, epsilon: float) -> float:
+    need = 1.0 - epsilon
+    return float(inverse(curve_of(r, g), r, g, np.array([need if need < 1.0 else math.inf]))[0])
+
+
+def _d_h_epsilon(r: np.ndarray, g: np.ndarray, epsilon: float) -> float:
+    b = _b_epsilon(r, g, epsilon)
     return math.inf if b == 0.0 else -math.log(b) + 0.0
 
 
@@ -115,10 +127,9 @@ def _divergence(r: np.ndarray, log_g: np.ndarray) -> float:
 
 def _equilibrium_divergence(state: QuasiclassicalState, ctx: TheoryContext) -> float:
     """``relative_entropy`` of r from its own equilibrium state, finite across any gap."""
-    r = _normalized(state.r, "r")
-    g, log_z = _equilibrium(state.spec, ctx)
-    log_g = _log_equilibrium(state.spec, ctx, _normalized(g, "g"), log_z)
-    return _divergence(r[r > 0], log_g[r > 0])
+    pos = state.r > 0
+    log_g = _log_equilibrium(state.spec, ctx, *_equilibrium(state.spec, ctx))
+    return _divergence(state.r[pos], log_g[pos])
 
 
 def _require_energy(ctx: TheoryContext):
@@ -133,11 +144,12 @@ def w_gain(state: QuasiclassicalState, ctx: TheoryContext, epsilon: float) -> fl
     """Work extractable from one copy with failure tolerance epsilon.
 
     (1/beta) times the hypothesis-testing entropy of the state against
-    its own equilibrium ensemble.
+    its own equilibrium ensemble, read from the curve of r and g as they
+    are, the one ``w_cost_bounds`` reads.
     """
     _require_energy(ctx)
-    test = HypothesisTest(state.r, _equilibrium(state.spec, ctx)[0], epsilon)
-    return d_h_epsilon(test) / ctx.beta
+    _check_epsilon(epsilon)
+    return _d_h_epsilon(state.r, _equilibrium(state.spec, ctx)[0], epsilon) / ctx.beta
 
 
 def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext,
@@ -174,12 +186,13 @@ def w_cost_bounds(state: QuasiclassicalState, ctx: TheoryContext,
 
 
 def resource_yield(state: QuasiclassicalState, ctx: TheoryContext) -> float:
-    """Distillable resource of an entropy-theory state: ln d - S(r)."""
+    """Distillable resource of an entropy-theory state: ln d - S(r), which is
+    D(r || g) for the uniform g of that theory (the spec carries no operator)."""
     if ctx.representation != ENTROPY:
         raise EnergyRepresentation(
             "resource_yield is the entropy-theory quantity; use w_gain instead"
         )
-    return math.log(state.dim) - shannon_entropy(state.r)
+    return _equilibrium_divergence(state, ctx)
 
 
 def battery_pair(labels, work: float):

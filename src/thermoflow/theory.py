@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EntropyRepresentation,
     IntensivesInEntropyTheory,
     LabelMismatch,
     MissingParameter,
@@ -97,13 +96,6 @@ class TheoryContext:
             coeffs = np.concatenate(([self.beta], -self.beta * np.array([v for _, v in pairs])))
         coeffs.flags.writeable = False
         object.__setattr__(self, "_coeffs", coeffs)
-
-    @property
-    def temperature(self) -> float:
-        """T = 1/beta (k_B = 1). Undefined in the entropy representation."""
-        if self.beta is None:
-            raise EntropyRepresentation("the entropy theory has no temperature")
-        return 1.0 / self.beta
 
     @property
     def n_state_operators(self) -> int:
@@ -402,7 +394,8 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
         raise ValueError("n must be at least 1")
     count = math.comb(n + state.dim - 1, state.dim - 1)
     if count > MAX_TYPE_CLASSES:
-        raise TooLarge(f"{count} type classes exceed the cap of {MAX_TYPE_CLASSES}")
+        raise TooLarge(f"n = {n} copies of d = {state.dim} levels: "
+                       f"{count} type classes exceed the cap of {MAX_TYPE_CLASSES}")
     log_r = np.log(state.r, out=np.full(state.dim, -np.inf), where=state.r > 0.0)
     log_g = _log_equilibrium(state.spec, ctx, *_equilibrium(state.spec, ctx))
     return CompressedState(n, *_type_classes(n, log_r, log_g))

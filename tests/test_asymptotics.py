@@ -43,6 +43,30 @@ def test_free_energy_rate_equals_scaled_divergence():
             assert tf.free_energy_rate(state, ctx) == pytest.approx(expected, abs=1e-10)
 
 
+def test_gauge_shift_of_2_to_the_40_moves_no_bit():
+    # Levels on a 2^-10 grid with dyadic beta and intensive values: every shifted
+    # exponent is exact, so g and D(r || g) keep their bits. Means of the levels
+    # would cancel 2^40 against 2^40 and keep few of them.
+    rng = np.random.default_rng(431)
+    for trial in range(40):
+        beta = float(rng.choice([0.5, 1.0, 2.0]))
+        ctx = [tf.preset("helmholtz", beta=beta),
+               tf.preset("grand_potential", beta=beta, mu=0.75),
+               tf.preset("gibbs", beta=beta, pressure=0.25)][trial % 3]
+        d = int(rng.integers(2, 7))
+        ops = [(label, rng.integers(0, 2**11, d) / 2**10)
+               for label in ("H", "X")[:ctx.n_state_operators]]
+        r, s = rng.dirichlet(np.ones(d), 2)
+        eps = float(rng.uniform(0.01, 0.9))
+        got = []
+        for shift in (0.0, 2.0**40):
+            spec = tf.SystemSpec(d, tuple((label, eig + shift) for label, eig in ops))
+            source, target = tf.QuasiclassicalState(spec, r), tf.QuasiclassicalState(spec, s)
+            got.append((tf.free_energy_rate(source, ctx), tf.conversion_rate(source, target, ctx),
+                        tf.aep_sweep(source, ctx, eps, [3]).limit, tf.w_gain(source, ctx, eps)))
+        assert got[1] == got[0], (trial, got)
+
+
 def test_free_energy_rate_entropy_rejected():
     state = tf.QuasiclassicalState(tf.SystemSpec(2), [1.0, 0.0])
     with pytest.raises(EntropyRepresentation):

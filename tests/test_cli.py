@@ -45,6 +45,17 @@ def hot_state(tmp_path):
     })
 
 
+def test_import_loads_only_stdlib_numpy_and_thermoflow():
+    # numpy is the one runtime dependency; any other package would slow every CLI call
+    probe = ("import sys; before = set(sys.modules); import thermoflow, thermoflow.cli; "
+             "print(*{name.partition('.')[0] for name in set(sys.modules) - before})")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {"numpy", "thermoflow"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "thermoflow"} == set()
+
+
 def test_lorenz_pure_bit_csv(pure2, entropy_ctx):
     result = run_cli("lorenz", pure2, "--ctx", entropy_ctx)
     assert result.returncode == 0
@@ -545,6 +556,8 @@ NO_COPY_COUNT = {
     "4,x": "--n '4,x': 'x' is not a copy count of at least 1",
     "0": "--n '0': '0' is not a copy count of at least 1",
     "2,-3": "--n '2,-3': '-3' is not a copy count of at least 1",
+    "8,100000000": "--n '8,100000000': n = 100000000 copies of d = 2 levels: "
+                   "100000001 type classes exceed the cap of 1000000",
 }
 
 

@@ -252,6 +252,9 @@ def test_resource_yield():
     assert tf.resource_yield(tilted, ctx) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(EnergyRepresentation):
         tf.resource_yield(pure, tf.preset("helmholtz", beta=1.0))
+    charged = tf.QuasiclassicalState(tf.SystemSpec(2, (("H", [0.0, 1.0]),)), [1.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        tf.resource_yield(charged, ctx)
 
 
 def charges(state, ctx, work, offset=None):
@@ -461,8 +464,7 @@ def test_work_bounds_match_the_reference_greedy_test():
         assert grid_lower(state.r, g, eps) <= exact + 1e-12
         assert sampled_lower(state.r, g, eps, dense) <= exact + 1e-12
         assert lower <= upper
-        test = tf.HypothesisTest(state.r, g, eps)
-        gain = -math.log(greedy_b_many(test.r, test.g, np.array([1.0 - eps]))[0]) + 0.0
+        gain = -math.log(greedy_b_many(state.r, g, np.array([1.0 - eps]))[0]) + 0.0
         assert tf.w_gain(state, ctx, eps) == gain / ctx.beta
 
 
