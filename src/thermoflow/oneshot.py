@@ -128,8 +128,7 @@ def _divergence(r: np.ndarray, log_g: np.ndarray) -> float:
 def _equilibrium_divergence(state: QuasiclassicalState, ctx: TheoryContext) -> float:
     """``relative_entropy`` of r from its own equilibrium state, finite across any gap."""
     pos = state.r > 0
-    log_g = _log_equilibrium(state.spec, ctx, *_equilibrium(state.spec, ctx))
-    return _divergence(state.r[pos], log_g[pos])
+    return _divergence(state.r[pos], _log_equilibrium(state.spec, ctx)[pos])
 
 
 def _require_energy(ctx: TheoryContext):

@@ -40,6 +40,8 @@ MAX_TYPE_CLASSES = 1_000_000
 
 def _as_float_vector(values, name: str, size: int | None = None) -> np.ndarray:
     try:
+        if isinstance(values, list) and bool in map(type, values):  # JSON true is no number
+            raise TypeError
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a list of numbers") from None
@@ -258,26 +260,28 @@ def equilibrium_exponents(spec: SystemSpec, ctx: TheoryContext) -> np.ndarray:
         return -(coeffs @ spec.operator_matrix())
 
 
-def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, float]:
-    """Equilibrium probabilities and ln Z from exponents shifted by their maximum."""
-    e = equilibrium_exponents(spec, ctx)
+def _normalized_weights(e: np.ndarray) -> tuple[np.ndarray, float]:
+    """Equilibrium probabilities and ln Z from exponents ``e`` shifted by their maximum."""
     m = float(e.max())
     if not math.isfinite(float(e.min()) - m):
         raise OverflowError(f"equilibrium exponents span [{float(e.min())!r}, {m!r}], "
                             "wider than double range")
-    e -= m
-    w = np.exp(e, out=e)
+    w = np.exp(e - m)
     total = w.sum()
     w /= total
     return w, m + math.log(total)
 
 
-def _log_equilibrium(spec: SystemSpec, ctx: TheoryContext, g: np.ndarray,
-                     log_z: float) -> np.ndarray:
+def _equilibrium(spec: SystemSpec, ctx: TheoryContext) -> tuple[np.ndarray, float]:
+    return _normalized_weights(equilibrium_exponents(spec, ctx))
+
+
+def _log_equilibrium(spec: SystemSpec, ctx: TheoryContext) -> np.ndarray:
     """ln g: np.log(g) where g is a normal double, exponent - ln Z where it underflows."""
+    e = equilibrium_exponents(spec, ctx)
+    g, log_z = _normalized_weights(e)
     normal = g >= np.finfo(float).tiny
-    exact = equilibrium_exponents(spec, ctx) - log_z
-    return np.where(normal, np.log(np.where(normal, g, 1.0)), exact)
+    return np.where(normal, np.log(np.where(normal, g, 1.0)), e - log_z)
 
 
 def log_partition_function(spec: SystemSpec, ctx: TheoryContext) -> float:
@@ -397,8 +401,10 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
         raise TooLarge(f"n = {n} copies of d = {state.dim} levels: "
                        f"{count} type classes exceed the cap of {MAX_TYPE_CLASSES}")
     log_r = np.log(state.r, out=np.full(state.dim, -np.inf), where=state.r > 0.0)
-    log_g = _log_equilibrium(state.spec, ctx, *_equilibrium(state.spec, ctx))
-    return CompressedState(n, *_type_classes(n, log_r, log_g))
+    log_g = _log_equilibrium(state.spec, ctx)
+    # A class ln g below -1.8e308 is a g mass that rounds to 0, and -inf is that rounding.
+    with np.errstate(over="ignore"):
+        return CompressedState(n, *_type_classes(n, log_r, log_g))
 
 
 def support_in_one_eigensubspace(r: np.ndarray, eigenvalue_lists) -> bool:

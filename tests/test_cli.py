@@ -1,7 +1,10 @@
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -10,11 +13,27 @@ import thermoflow as tf
 from thermoflow import cli, convert
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "thermoflow", *args],
-        capture_output=True, text=True, cwd=cwd,
-    )
+def run_cli(*args):
+    """One ``cli.main`` call in this process, returned as ``python -m thermoflow`` would be.
+
+    argparse's SystemExit becomes the exit code. Every warning is raised as
+    an error, so one that a separate process would print on its stderr
+    escapes ``main`` and fails the test instead.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args):
+    """``python -m thermoflow`` in a process of its own, for what only a process shows."""
+    return subprocess.run([sys.executable, "-m", "thermoflow", *args],
+                          capture_output=True, text=True)
 
 
 def write_json(path, payload):
@@ -136,8 +155,8 @@ def test_byte_identical_reruns(tmp_path, hot_state, pure2, entropy_ctx):
     for args in (("gibbs", hot_state), ("lorenz", pure2, "--ctx", entropy_ctx),
                  ("work", hot_state, "--epsilon", "0.25"),
                  ("aep", hot_state, "--epsilon", "0.1", "--n", "1,2,4")):
-        first = run_cli(*args)
-        second = run_cli(*args)
+        first = run_process(*args)
+        second = run_process(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
@@ -522,10 +541,10 @@ def test_load_errors_name_the_file_in_convert_and_ctx(tmp_path, hot_state):
 
 
 def run_main(capsys, *args):
-    """(exit code, stdout, stderr) of one in-process ``cli.main`` call."""
-    code = cli.main(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    """(exit code, stdout, stderr) of ``run_cli``; nothing may bypass its streams."""
+    result = run_cli(*args)
+    assert capsys.readouterr() == ("", "")
+    return result.returncode, result.stdout, result.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -617,10 +636,9 @@ def test_work_report_epsilon_zero_has_no_cost_bounds(tmp_path, capsys):
 
 
 def help_text(capsys, *args):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main([*args, "--help"])
-    assert exit_info.value.code == 0
-    return capsys.readouterr().out
+    code, out, _ = run_main(capsys, *args, "--help")
+    assert code == 0
+    return out
 
 
 def test_every_command_has_help_and_only_state_readers_take_a_context(
@@ -654,3 +672,119 @@ def test_every_command_has_help_and_only_state_readers_take_a_context(
             cli.main(["validate", hot_state, flag, value])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_many_copy_powers_whose_g_masses_round_to_0_print_no_warning(tmp_path):
+    # beta H reaches 1.3e308, so a class ln g of n copies leaves double range
+    path = write_json(tmp_path / "cold.json", {
+        "representation": "energy", "beta": 1e308, "intensive": [],
+        "operators": [{"label": "H", "eigenvalues": [0.0, 0.5, 1.3]}], "r": [0.5, 0.3, 0.2],
+    })
+    result = run_cli("aep", path, "--epsilon", "0.1", "--n", "2,5")
+    assert (result.returncode, result.stderr) == (0, "")
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert [n for n, _, _ in rows] == ["2", "5"]
+    # only the class (2, 0, 0) has g mass: it holds r mass 0.25 and supplies 0.15 of it
+    assert float(rows[0][1]) == pytest.approx(-math.log(0.6) / 2, rel=1e-12)
+
+
+# every subcommand on the descriptor "{0}"; lorenz and aep in both formats, work at two epsilons
+FUZZ_INVOCATIONS = [
+    ("gibbs", "{0}"),
+    ("lorenz", "{0}", "--format", "csv"),
+    ("lorenz", "{0}", "--format", "json"),
+    ("convert", "{0}", "{0}"),
+    ("work", "{0}", "--epsilon", "0"),
+    ("work", "{0}", "--epsilon", "0.1"),
+    ("rate", "{0}", "{0}"),
+    ("aep", "{0}", "--epsilon", "0.1", "--n", "2,5", "--format", "csv"),
+    ("aep", "{0}", "--epsilon", "0.1", "--n", "2,5", "--format", "json"),
+    ("validate", "{0}"),
+]
+
+
+@pytest.mark.parametrize("argv", list({argv[0]: argv for argv in FUZZ_INVOCATIONS}.values()),
+                         ids=lambda argv: argv[0])
+def test_python_m_thermoflow_refuses_malformed_json_in_one_line(tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    result = run_process(*(arg.format(bad) for arg in argv))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
+FUZZ_BASE = {
+    "representation": "energy", "beta": 1.0, "intensive": [{"label": "mu", "value": 0.25}],
+    "operators": [{"label": "H", "eigenvalues": [0.0, 0.5, 1.3]},
+                  {"label": "N", "eigenvalues": [0.0, 1.0, 1.0]}],
+    "r": [0.5, 0.3, 0.2], "nonstate": [{"label": "V", "eigenvalues": [1.0, 1.0, 1.0]}],
+}
+NUMBER_PLACES = {"beta": ("beta",), "intensive value": ("intensive", 0, "value"),
+                 "eigenvalue": ("operators", 0, "eigenvalues", 1), "probability": ("r", 1),
+                 "nonstate eigenvalue": ("nonstate", 0, "eigenvalues", 1)}
+VECTOR_PLACES = {"eigenvalues": ("operators", 0, "eigenvalues"), "r": ("r",),
+                 "nonstate eigenvalues": ("nonstate", 0, "eigenvalues")}
+NOT_A_NUMBER = {"string": "x", "null": None, "bool": True, "list": [1.0], "object": {"x": 1.0},
+                "NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf,
+                "integer past double range": 10 ** 400}
+NOT_A_VECTOR = {"string": "x", "null": None, "bool": True, "number": 1.0, "object": {"x": 1.0},
+                "nested list": [[1.0, 1.0, 1.0]]}
+
+
+def fuzzed(place, value):
+    """FUZZ_BASE as JSON text, with ``value`` at the key path ``place``."""
+    payload = json.loads(json.dumps(FUZZ_BASE))
+    *parents, last = place
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(payload)
+
+
+MALFORMED = {
+    **{f"{kind} as {name}": fuzzed(place, value) for name, place in NUMBER_PLACES.items()
+       for kind, value in NOT_A_NUMBER.items()},
+    **{f"{kind} as {name}": fuzzed(place, value) for name, place in VECTOR_PLACES.items()
+       for kind, value in NOT_A_VECTOR.items()},
+    "beta of -1": fuzzed(("beta",), -1),
+    "empty file": "",
+    "truncated in the middle": json.dumps(FUZZ_BASE)[:len(json.dumps(FUZZ_BASE)) // 2],
+    "truncated before the last brace": json.dumps(FUZZ_BASE)[:-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_fuzzed_malformed_descriptors_exit_2_in_one_error_line(tmp_path, case):
+    path = tmp_path / "fuzzed.json"
+    path.write_text(MALFORMED[case], encoding="utf-8")
+    for argv in FUZZ_INVOCATIONS:
+        result = run_cli(*(arg.format(path) for arg in argv))
+        assert (result.returncode, result.stdout) == (2, ""), argv
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, argv
+
+
+FUZZ_VALID = {"as drawn": json.dumps(FUZZ_BASE), "beta of 1e308": fuzzed(("beta",), 1e308),
+              "eigenvalue of 1e308": fuzzed(("operators", 0, "eigenvalues", 1), 1e308)}
+
+
+def valid_fuzz_cases():
+    # a known defect: with g = 0 on the first curve step, w_cost_bounds takes the log of 0
+    # (finite bounds need ln g carried into the curve)
+    gapped = pytest.mark.xfail(strict=True, raises=AssertionError, reason="math domain error")
+    for case in sorted(FUZZ_VALID):
+        for argv in FUZZ_INVOCATIONS:
+            known = case != "as drawn" and argv[0] == "work" and argv[-1] == "0.1"
+            yield pytest.param(case, argv, marks=[gapped] if known else [],
+                               id=" ".join(arg for arg in (f"{case}:", *argv) if arg != "{0}"))
+
+
+@pytest.mark.parametrize("case, argv", valid_fuzz_cases())
+def test_fuzzed_valid_descriptors_exit_0_or_1_with_empty_stderr(tmp_path, case, argv):
+    path = tmp_path / "fuzzed.json"
+    path.write_text(FUZZ_VALID[case], encoding="utf-8")
+    result = run_cli(*(arg.format(path) for arg in argv))
+    assert result.returncode in (0, 1)
+    assert result.stderr == ""

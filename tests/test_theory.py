@@ -360,12 +360,11 @@ def reference_tensor_power(state, ctx, n):
             out[(k[:, dead] > 0).any(axis=1)] = -np.inf
         return out
 
-    g, log_z = tf.gibbs_state(state.spec, ctx).r, tf.log_partition_function(state.spec, ctx)
     return tf.CompressedState(
         n=n,
         log_mult=logfact[n] - logfact[k].sum(axis=1),
         log_r=masked_log_powers(state.r),
-        log_g=left_to_right(k, theory._log_equilibrium(state.spec, ctx, g, log_z)),
+        log_g=left_to_right(k, theory._log_equilibrium(state.spec, ctx)),
     )
 
 
@@ -445,8 +444,7 @@ def test_class_logs_are_left_to_right_python_sums():
         state = tf.QuasiclassicalState(random_spec(rng, d, ctx), rng.dirichlet(np.ones(d)))
         power = tf.tensor_power_compressed(state, ctx, n)
         # the per-outcome logs the power starts from
-        logs = (np.log(state.r).tolist(), theory._log_equilibrium(
-            state.spec, ctx, *theory._equilibrium(state.spec, ctx)).tolist())
+        logs = (np.log(state.r).tolist(), theory._log_equilibrium(state.spec, ctx).tolist())
         k = reference_compositions(n, d)
         for row in rng.choice(len(k), 25, replace=False):
             for got, per_outcome in zip((power.log_r[row], power.log_g[row]), logs):
@@ -520,3 +518,18 @@ def test_equilibrium_coefficients_are_built_once_and_read_only():
     assert spec.operator_matrix() is spec.operator_matrix()
     assert ctx == tf.preset("grand_potential", beta=2.0, mu=[0.5, -0.25])
     assert tf.preset("entropy").entropy_intensives().size == 0
+
+
+def test_log_g_forms_the_exponents_once(monkeypatch):
+    ctx = tf.preset("grand_potential", beta=1.5, mu=0.3)
+    spec = tf.SystemSpec(3, (("H", [0.0, 1.0, 900.0]), ("N", [1.0, 0.0, 2.0])))
+    state = tf.QuasiclassicalState(spec, [0.5, 0.3, 0.2])
+    calls = []
+    formed = theory.equilibrium_exponents
+    monkeypatch.setattr(theory, "equilibrium_exponents",
+                        lambda *args: calls.append(1) or formed(*args))
+    for run in (lambda: tf.free_energy_rate(state, ctx),
+                lambda: tf.tensor_power_compressed(state, ctx, 4)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
