@@ -72,8 +72,7 @@ class _SortedClasses:
         """Sorts the power in the one-item list ``power``, emptying it so that each
         table nothing else holds is freed once it has been used."""
         log_mult, log_r, log_g = attrgetter("log_mult", "log_r", "log_g")(power.pop())
-        key = log_g - log_r  # -ratio; zero-probability classes get +inf and sort to the tail
-        live = np.count_nonzero(log_r > -np.inf)  # classes before the tail, underflowed r too
+        key = log_g - log_r  # -ratio
         r_mass = log_r + log_mult  # the masses come unsorted, so the power is freed first
         del log_r
         log_g_mass = log_g + log_mult
@@ -99,7 +98,7 @@ class _SortedClasses:
         del log_g_mass, order
         self.cum_r = np.cumsum(self.r_mass)
         self.prefix_log_g = _BlockPrefix(self.log_g_mass)
-        self.log_b_all = float(self.prefix_log_g[live - 1])
+        self.log_b_all = float(self.prefix_log_g[self.log_g_mass.size - 1])
 
     def log_b(self, need: float) -> float:
         """ln b at threshold ``need``; at or past min(total r, 1), every class of r > 0."""

@@ -334,11 +334,11 @@ def compose(a: QuasiclassicalState, b: QuasiclassicalState) -> QuasiclassicalSta
 class CompressedState:
     """Type-class compression of the n-fold product of a state.
 
-    Three float64 tables, one entry per composition k of n over the d outcomes
-    in ascending lexicographic order: log multinomial(n; k), and log prod r^k
-    and log prod g^k added left to right (minus infinity where r has a zero in
-    the class). A class's total r mass is exp(log_mult + log_r), which stays
-    well inside double range even when the factors do not.
+    Three float64 tables, one entry per composition k of n over the s outcomes
+    where r > 0, in ascending lexicographic order: log multinomial(n; k), and
+    log prod r^k and log prod g^k added left to right; log_r is finite. A
+    class's total r mass is exp(log_mult + log_r), which stays well inside
+    double range even when the factors do not.
     """
 
     n: int
@@ -356,16 +356,12 @@ def _type_classes(n: int, a: np.ndarray, b: np.ndarray):
     d parts, in ascending lexicographic order of k (the many-copy test's
     stable argsort breaks ties between equal ratios in this order). No row k
     is built: each level adds ln k_i!, k_i a_i and k_i b_i left to right, as a
-    Python loop over i would, and a_i = -inf counts only where k_i > 0."""
+    Python loop over i would."""
     if a.size == 1:  # one class of multiplicity 1; skip the (n + 1)-entry table
         return np.zeros(1), np.array([n * a[0]]), np.array([n * b[0]])
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-
-    def times(k, x):  # k x, where 0 (-inf) = 0
-        return k * x if x > -math.inf else np.where(k > 0, -math.inf, 0.0)
-
     k = np.arange(n + 1)  # the first level: k_1 = 0..n
-    log_den, sum_a, sum_b, rest = logfact.copy(), times(k, a[0]), times(k, b[0]), n - k
+    log_den, sum_a, sum_b, rest = logfact.copy(), k * a[0], k * b[0], n - k
     for i in range(1, a.size - 1):
         counts = rest + 1
         k = np.arange(counts.sum())
@@ -373,15 +369,15 @@ def _type_classes(n: int, a: np.ndarray, b: np.ndarray):
         log_den = np.repeat(log_den, counts)
         log_den += logfact[k]
         sum_a = np.repeat(sum_a, counts)
-        sum_a += times(k, a[i])
+        sum_a += k * a[i]
         sum_b = np.repeat(sum_b, counts)
-        sum_b += times(k, b[i])
+        sum_b += k * b[i]
         rest = np.repeat(rest, counts)
         rest -= k
     del k
     log_den += logfact[rest]
-    sum_a += times(rest, a[-1])
-    sum_b += times(rest, b[-1])
+    sum_a += rest * a[-1]
+    sum_b += rest * b[-1]
     return np.subtract(logfact[n], log_den, out=log_den), sum_a, sum_b
 
 
@@ -389,22 +385,24 @@ def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,
                             n: int) -> CompressedState:
     """n-fold product of ``state`` grouped by type class.
 
-    The class count is binomial(n + d - 1, d - 1); anything above one
-    million classes raises TooLarge rather than exhausting memory. The
-    tables are folded from ln r, ln g and log factorials (``_type_classes``),
-    so total r and g masses are conserved to well within 1e-9.
+    Only the s levels where r > 0 enter: a class that counts any other level
+    has r mass 0. The class count is binomial(n + s - 1, s - 1); anything
+    above one million classes raises TooLarge rather than exhausting memory.
+    The tables are folded from ln r, ln g and log factorials
+    (``_type_classes``), so total r and g masses are conserved to well within 1e-9.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    count = math.comb(n + state.dim - 1, state.dim - 1)
+    live = state.r > 0.0
+    s = int(np.count_nonzero(live))
+    count = math.comb(n + s - 1, s - 1)
     if count > MAX_TYPE_CLASSES:
-        raise TooLarge(f"n = {n} copies of d = {state.dim} levels: "
+        raise TooLarge(f"n = {n} copies of the s = {s} levels where r > 0: "
                        f"{count} type classes exceed the cap of {MAX_TYPE_CLASSES}")
-    log_r = np.log(state.r, out=np.full(state.dim, -np.inf), where=state.r > 0.0)
-    log_g = _log_equilibrium(state.spec, ctx)
+    log_g = _log_equilibrium(state.spec, ctx)[live]
     # A class ln g below -1.8e308 is a g mass that rounds to 0, and -inf is that rounding.
     with np.errstate(over="ignore"):
-        return CompressedState(n, *_type_classes(n, log_r, log_g))
+        return CompressedState(n, *_type_classes(n, np.log(state.r[live]), log_g))
 
 
 def support_in_one_eigensubspace(r: np.ndarray, eigenvalue_lists) -> bool:

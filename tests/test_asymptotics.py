@@ -275,9 +275,16 @@ def test_lower_cost_bound_stops_where_the_r_total_first_rounds_to_1():
 
 def test_finite_n_gap_invariances():
     rng = np.random.default_rng(349)
-    for d, n in ((2, 400), (3, 30), (4, 12), (5, 6)):
+    # The last three states have levels of r = 0, which a permutation moves. At
+    # d = 3, n = 1500 and d = 4, n = 200, classes over all d levels would exceed the cap.
+    for d, n, zeros in ((2, 400, 0), (3, 30, 0), (4, 12, 0), (5, 6, 0),
+                        (3, 1500, 1), (4, 200, 2), (5, 40, 1)):
         ctx = random_context(rng)
         state = random_state(rng, random_spec(rng, d, ctx))
+        if zeros:
+            r = state.r.copy()
+            r[rng.choice(d, zeros, replace=False)] = 0.0
+            state = tf.QuasiclassicalState(state.spec, r / r.sum())
         eps = float(rng.uniform(0.01, 0.99))
         gain, bounds = tf.finite_n_gap(state, ctx, eps, n)
         want = np.multiply((gain, *bounds), ctx.beta)
@@ -288,6 +295,30 @@ def test_finite_n_gap_invariances():
             gain, bounds = tf.finite_n_gap(other, other_ctx, eps, n)
             got = np.multiply((gain, *bounds), other_ctx.beta)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=str(kwargs))
+
+
+def test_pure_state_work_is_the_closed_form():
+    # A pure state has one class at any n, of r mass 1 and g mass g_1^n, so
+    # gain = upper = (-n ln g_1 - ln(1 - eps)) / beta and lower = (ln(1 - eps) - n ln g_1) / beta.
+    rng = np.random.default_rng(367)
+    n = 10**4
+    for d in range(2, 13):
+        ctx = random_context(rng)
+        spec = random_spec(rng, d, ctx)
+        level = int(rng.integers(d))
+        state = tf.QuasiclassicalState(spec, np.eye(d)[level])
+        log_g1 = math.log(tf.gibbs_state(spec, ctx).r[level])
+        for eps in (0.01, 0.1, 0.5, 0.9):
+            log_keep = math.log(1.0 - eps)
+            gain, (lower, upper) = tf.finite_n_gap(state, ctx, eps, n)
+            want = (-n * log_g1 - log_keep) / ctx.beta
+            assert gain == pytest.approx(want, rel=1e-12)
+            assert upper == pytest.approx(want, rel=1e-12)
+            assert lower == pytest.approx((log_keep - n * log_g1) / ctx.beta, rel=1e-12)
+            sweep = tf.aep_sweep(state, ctx, eps, [1, 100, n])
+            assert sweep.rows[-1][1] == pytest.approx(ctx.beta * gain / n, rel=1e-12)
+            for m, per_copy in sweep.rows:
+                assert per_copy == pytest.approx((-m * log_g1 - log_keep) / m, rel=1e-12)
 
 
 def reference_log_b(classes, need):
@@ -420,9 +451,10 @@ def test_short_runs_sort_to_the_stable_tables(d, n):
         elif kind == "integer":  # commensurate log ratios tie across many classes
             energies = rng.integers(-3, 4, d).astype(float)
             r = np.exp(-rng.integers(0, 4, d).astype(float))
-        elif kind == "zero":  # +inf keys for every class that uses the last level
-            r[-1] = 0.0
-        state = tf.QuasiclassicalState(tf.SystemSpec(d, (("H", energies),)), r / r.sum())
+        elif kind == "zero":  # one more level, of r = 0: the classes stay over d levels
+            energies = np.insert(energies, 1, rng.uniform(-2, 2))
+            r = np.insert(r, 1, 0.0)
+        state = tf.QuasiclassicalState(tf.SystemSpec(r.size, (("H", energies),)), r / r.sum())
         power = tf.tensor_power_compressed(state, ctx, n)
         key = power.log_g - power.log_r
         descents = np.count_nonzero(key[1:] < key[:-1])
@@ -450,15 +482,16 @@ def test_log_b_many_matches_scalar_lookup():
         needs = np.concatenate([
             [0.0, -0.25],  # k = 0 with a fraction of exactly 0
             [total, np.nextafter(total, 0.0), 1.0, 1.5],  # at and past the total
-            classes.cum_r,  # class boundaries, the zero-mass tail included
+            classes.cum_r,  # class boundaries
             np.nextafter(classes.cum_r, 2.0),
             np.linspace(0.0, 1.0, 257),
         ])
         got = np.array([classes.log_b(float(v)) for v in needs])
         expected = np.array([reference_log_b(classes, float(v)) for v in needs])
         np.testing.assert_array_equal(got, expected)
-        # an r with a zero entry gives classes of ratio -inf and no mass
-        assert np.any(classes.r_mass == 0.0) == (min(r) == 0.0)
+        # an r with a zero entry gives the classes over supp r only
+        support = np.count_nonzero(r)
+        assert classes.r_mass.size == math.comb(n + support - 1, support - 1)
 
 
 def test_compressed_d_h_matches_second_order_expansion():

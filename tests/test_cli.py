@@ -575,20 +575,36 @@ NO_COPY_COUNT = {
     "4,x": "--n '4,x': 'x' is not a copy count of at least 1",
     "0": "--n '0': '0' is not a copy count of at least 1",
     "2,-3": "--n '2,-3': '-3' is not a copy count of at least 1",
-    "8,100000000": "--n '8,100000000': n = 100000000 copies of d = 2 levels: "
-                   "100000001 type classes exceed the cap of 1000000",
+    "8,100000000": "--n '8,100000000': n = 100000000 copies of the s = 2 levels "
+                   "where r > 0: 100000001 type classes exceed the cap of 1000000",
 }
 
 
 @pytest.mark.parametrize("n_arg", list(NO_COPY_COUNT))
-def test_aep_without_a_copy_count_exits_2(hot_state, capsys, tmp_path, n_arg):
+def test_aep_without_a_copy_count_exits_2(capsys, tmp_path, n_arg):
+    # full support: a pure state has one class at any n
+    warm = helmholtz_state(tmp_path, "warm.json", [0.0, math.log(2)], [0.6, 0.4])
     out = tmp_path / "out.csv"
     for extra in ((), ("--out", str(out))):
-        code, printed, err = run_main(capsys, "aep", hot_state, "--epsilon", "0.1",
+        code, printed, err = run_main(capsys, "aep", warm, "--epsilon", "0.1",
                                       "--n", n_arg, *extra)
         assert (code, printed) == (2, "")
         assert err == f"error: {NO_COPY_COUNT[n_arg]}\n"
     assert not out.exists()
+
+
+def test_aep_on_a_pure_state_answers_any_copy_count(hot_state):
+    # one class, of r mass 1 and g mass g_1^n: per copy (-ln(1 - eps) - n ln g_1) / n
+    result = run_cli("aep", hot_state, "--epsilon", "0.1", "--n", "1,100000000")
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert lines[0] == "n,per_copy_dh,limit" and len(lines) == 3
+    log_g1 = -math.log(1.5)
+    for line, n in zip(lines[1:], (1, 100000000)):
+        count, per_copy, limit = line.split(",")
+        assert int(count) == n
+        assert float(per_copy) == pytest.approx((-math.log(0.9) - n * log_g1) / n, rel=1e-12)
+        assert float(limit) == pytest.approx(-log_g1, rel=1e-12)
 
 
 def test_witness_disagreement_is_one_error_line(tmp_path, capsys, monkeypatch, hot_state):

@@ -339,8 +339,9 @@ def left_to_right(k, log_base):
 
 def reference_tensor_power(state, ctx, n):
     """The integer-matrix builder the level-by-level fold replaced:
-    column_stack compositions, a gathered log-factorial row sum and
-    masked left-to-right column sums per vector."""
+    column_stack compositions over all d levels, of which the rows that
+    count no level of r = 0 are kept on the columns of r > 0, then a gathered
+    log-factorial row sum and left-to-right column sums per vector."""
     d = state.dim
     rows = np.empty((1, 0), dtype=np.int64)
     rest = np.array([n], dtype=np.int64)
@@ -351,20 +352,14 @@ def reference_tensor_power(state, ctx, n):
         rows = np.column_stack([np.repeat(rows, counts, axis=0), value])
         rest = np.repeat(rest, counts) - value
     k = np.column_stack([rows, rest])
+    live = state.r > 0.0
+    k = k[(k[:, ~live] == 0).all(axis=1)][:, live]
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-
-    def masked_log_powers(base):
-        out = left_to_right(k, np.log(np.where(base > 0.0, base, 1.0)))
-        dead = base <= 0.0
-        if dead.any():
-            out[(k[:, dead] > 0).any(axis=1)] = -np.inf
-        return out
-
     return tf.CompressedState(
         n=n,
         log_mult=logfact[n] - logfact[k].sum(axis=1),
-        log_r=masked_log_powers(state.r),
-        log_g=left_to_right(k, theory._log_equilibrium(state.spec, ctx)),
+        log_r=left_to_right(k, np.log(state.r[live])),
+        log_g=left_to_right(k, theory._log_equilibrium(state.spec, ctx)[live]),
     )
 
 
