@@ -9,11 +9,13 @@ operation is a pure function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._cores import CHUNK, split
 from .errors import (
     DimensionMismatch,
     IntensivesInEntropyTheory,
@@ -356,12 +358,33 @@ def _type_classes(n: int, a: np.ndarray, b: np.ndarray):
     d parts, in ascending lexicographic order of k (the many-copy test's
     stable argsort breaks ties between equal ratios in this order). No row k
     is built: each level adds ln k_i!, k_i a_i and k_i b_i left to right, as a
-    Python loop over i would."""
+    Python loop over i would. Past CHUNK classes, pieces of whole first counts
+    and about CHUNK classes fill the three tables, on two cores unless serial."""
     if a.size == 1:  # one class of multiplicity 1; skip the (n + 1)-entry table
         return np.zeros(1), np.array([n * a[0]]), np.array([n * b[0]])
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    k = np.arange(n + 1)  # the first level: k_1 = 0..n
-    log_den, sum_a, sum_b, rest = logfact.copy(), k * a[0], k * b[0], n - k
+    size = math.comb(n + a.size - 1, a.size - 1)
+    if size <= CHUNK:  # one piece, in its own tables
+        return _type_class_piece(n, logfact, a, b, 0, n + 1)
+
+    def start(j):  # the first class of first count j; start(n + 1) = size
+        return size - math.comb(n - j + a.size - 1, a.size - 1)
+    ends = sorted({bisect.bisect_left(range(n + 1), t, key=start) for t in range(0, size, CHUNK)})
+    out = np.empty(size), np.empty(size), np.empty(size)
+
+    def fill(lo, hi):  # the pieces that start in [lo, hi)
+        for j0, j1 in zip(ends, ends[1:] + [n + 1]):
+            if lo <= start(j0) < hi:
+                _type_class_piece(n, logfact, a, b, j0, j1, [t[start(j0):start(j1)] for t in out])
+    split(fill, size)
+    return out
+
+
+def _type_class_piece(n, logfact, a, b, lo, hi, out=None):
+    """The classes of first count k_1 = lo..hi - 1, written to the three tables ``out``
+    (default: in place)."""
+    k = np.arange(lo, hi)  # the first level
+    log_den, sum_a, sum_b, rest = logfact[lo:hi].copy(), k * a[0], k * b[0], n - k
     for i in range(1, a.size - 1):
         counts = rest + 1
         k = np.arange(counts.sum())
@@ -376,9 +399,11 @@ def _type_classes(n: int, a: np.ndarray, b: np.ndarray):
         rest -= k
     del k
     log_den += logfact[rest]
-    sum_a += rest * a[-1]
-    sum_b += rest * b[-1]
-    return np.subtract(logfact[n], log_den, out=log_den), sum_a, sum_b
+    out = (log_den, sum_a, sum_b) if out is None else out
+    np.add(sum_a, rest * a[-1], out=out[1])
+    np.add(sum_b, rest * b[-1], out=out[2])
+    np.subtract(logfact[n], log_den, out=out[0])
+    return out
 
 
 def tensor_power_compressed(state: QuasiclassicalState, ctx: TheoryContext,

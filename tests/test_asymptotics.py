@@ -1,18 +1,24 @@
 import itertools
 import math
+import multiprocessing
+import os
+import sys
 import time
+import warnings
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import thermoflow as tf
-from thermoflow.asymptotics import BLOCK, SHORT_RUN, _SortedClasses
+from thermoflow._cores import SPLIT, both, split
+from thermoflow.asymptotics import BLOCK, INDEX_BITS, SHORT_RUN, _SortedClasses
 from thermoflow.errors import (
     EntropyRepresentation,
     EpsilonOutOfRange,
     TargetIsEquilibrium,
 )
+from thermoflow.theory import MAX_TYPE_CLASSES
 
 from conftest import (nonequilibrium_state, random_context, random_spec, random_state,
                       relabeled)
@@ -551,3 +557,140 @@ def test_aep_and_rate_across_a_gap_that_underflows_g(energies, r, n_list):
         assert per_copy == pytest.approx(brute_force_per_copy_dh(state.r, log_g, n, 0.1),
                                          rel=1e-9)
     assert tf.conversion_rate(state, state, ctx) == 1.0
+
+
+def test_the_class_index_fits_the_packed_key_bits():
+    # the packed sort keeps a class index in the low INDEX_BITS of each key
+    assert MAX_TYPE_CLASSES < 2**INDEX_BITS
+
+
+def test_sorting_a_power_the_caller_holds_leaves_its_tables_alone():
+    # the masses may overwrite a power only where nothing else holds it
+    ctx = tf.preset("helmholtz", beta=1.0)
+    state = tf.QuasiclassicalState(tf.SystemSpec(3, (("H", [0.0, 0.37, 1.13]),)), [0.5, 0.3, 0.2])
+    cs = tf.tensor_power_compressed(state, ctx, 1400)
+    before = [table.copy() for table in (cs.log_mult, cs.log_r, cs.log_g)]
+    tf.compressed_d_h_epsilon(cs, 0.1)
+    for got, want in zip((cs.log_mult, cs.log_r, cs.log_g), before):
+        np.testing.assert_array_equal(got, want)
+
+
+def key_images(key):
+    """The sorted keys and their order-preserving int64 images (-0.0 as +0.0)."""
+    key = np.sort(key) + 0.0
+    bits = key.view(np.int64)
+    return key, np.where(bits < 0, bits ^ (2**63 - 1), bits)
+
+
+def near_cap_states():
+    """(state, n) near the class cap: d = 3 and 5 of random levels, the tie-heavy
+    d = 4 state of two alike levels, and a d = 4 "integer" spectrum whose keys
+    hold near-ties: unequal keys whose images agree above the index bits."""
+    rng = np.random.default_rng(379)
+    for d, n in ((3, 1400), (5, 62)):
+        spec = tf.SystemSpec(d, (("H", rng.uniform(-2, 2, d)),))
+        yield tf.QuasiclassicalState(spec, 0.9 * rng.dirichlet(np.ones(d)) + 0.1 / d), n
+    yield tf.QuasiclassicalState(tf.SystemSpec(4, (("H", [0.0, 0.5, 0.5, 1.5]),)),
+                                 [0.4, 0.25, 0.25, 0.1]), 175
+    r = np.exp(-np.array([1.0, 0.0, 2.0, 1.0]))
+    yield tf.QuasiclassicalState(tf.SystemSpec(4, (("H", [0.0, 1.0, 3.0, 0.0]),)), r / r.sum()), 175
+
+
+def many_copy_outputs(state, ctx, n):
+    """The power's tables, its sorted tables, and the reprs of both many-copy calls."""
+    power = tf.tensor_power_compressed(state, ctx, n)
+    tables = [power.log_mult, power.log_r, power.log_g]
+    classes = _SortedClasses([power])
+    tables += [classes.r_mass, classes.log_g_mass, classes.cum_r]
+    return tables, repr(tf.finite_n_gap(state, ctx, 0.1, n)), repr(tf.aep_sweep(state, ctx, 0.1, [n]))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_one_core_gives_the_bits_of_two():
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("this process may use one core only")
+    ctx = tf.preset("helmholtz", beta=1.0)
+    near_ties = 0
+    for state, n in near_cap_states():
+        two = many_copy_outputs(state, ctx, n)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            one = many_copy_outputs(state, ctx, n)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert two[1:] == one[1:]
+        for got, want in zip(one[0], two[0]):
+            np.testing.assert_array_equal(got, want)
+        power = tf.tensor_power_compressed(state, ctx, n)
+        key = power.log_g - power.log_r
+        descents = np.count_nonzero(key[1:] < key[:-1])
+        if key.size < SHORT_RUN * (1 + min(descents, key.size - 1 - descents)):  # packed sort
+            for got, want in zip(two[0][3:], stable_tables(power)):
+                np.testing.assert_array_equal(got, want)
+            key, bits = key_images(key)
+            near_ties += np.count_nonzero((bits[1:] >> INDEX_BITS == bits[:-1] >> INDEX_BITS)
+                                          & (key[1:] != key[:-1]))
+    assert near_ties  # the group re-sort had unequal keys to order
+
+
+def test_two_cores_keep_the_callers_error_state():
+    # k ln g overflows to -inf: tensor_power_compressed ignores that overflow, on both cores
+    ctx = tf.preset("grand_potential", beta=1.0, mu=0.5)
+    spec = tf.SystemSpec(3, (("H", np.zeros(3)), ("N", np.array([0.0, 1.0, 1e308]))))
+    state = tf.QuasiclassicalState(spec, np.array([0.5, 0.3, 0.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        power = tf.tensor_power_compressed(state, ctx, 600)
+    assert power.n_classes > SPLIT and np.isneginf(power.log_g).any()
+
+
+def test_two_threads_join_and_raise_the_callers_error_first():
+    done = []
+
+    def fail(tag, wait=0.0):
+        def run():
+            time.sleep(wait)
+            done.append(tag)
+            raise ValueError(tag)
+        return run
+    with pytest.raises(ValueError, match="f"):
+        both(fail("f"), fail("g", 0.2))
+    assert sorted(done) == ["f", "g"]  # g had finished before both returned
+    with pytest.raises(ValueError, match="g"):
+        both(lambda: None, fail("g"))
+    out = []
+    both(lambda: out.append(1), lambda: out.append(2))
+    assert sorted(out) == [1, 2]
+
+
+def test_split_passes_cover_every_class_once():
+    # the two threads share one iterator of parts; switch threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for size in [1, SPLIT, SPLIT + 1] + [999_983] * 50:
+            seen = []
+            split(lambda lo, hi: seen.append((lo, hi)), size)  # list.append is atomic
+            seen.sort()
+            assert seen[0][0] == 0 and seen[-1][1] == size
+            assert all(hi == lo for (_, hi), (lo, _) in zip(seen, seen[1:]))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_forked_child_runs_near_cap_calls():
+    ctx = tf.preset("helmholtz", beta=1.0)
+    state = tf.QuasiclassicalState(tf.SystemSpec(3, (("H", [0.0, 0.37, 1.13]),)), [0.5, 0.3, 0.2])
+    want = repr(tf.finite_n_gap(state, ctx, 0.1, 1400))  # this process has used both cores
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=lambda: send.send(repr(tf.finite_n_gap(state, ctx, 0.1, 1400))))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child gave no answer within 60 s"
+        assert receive.recv() == want
+    finally:
+        child.kill()
+        child.join(10)

@@ -6,6 +6,7 @@ import pytest
 
 import thermoflow as tf
 from thermoflow import theory
+from thermoflow._cores import CHUNK
 from thermoflow.errors import (
     DimensionMismatch,
     IntensivesInEntropyTheory,
@@ -327,6 +328,23 @@ def test_compositions_match_divider_enumeration():
             # same rows in the same order: downstream tie-breaking relies on it
             np.testing.assert_array_equal(got, expected)
             assert got.shape[0] == math.comb(n + d - 1, d - 1)
+
+
+@pytest.mark.parametrize("d, n", [(2, 40000), (2, 200000), (3, 300), (4, 120), (5, 57), (6, 30)])
+def test_powers_built_by_pieces_are_the_one_piece_tables(d, n):
+    # pieces of whole first counts and about CHUNK classes fill the tables, on two
+    # cores past SPLIT; at d = 5, n = 57 first count 0 alone holds 34,220 > CHUNK
+    size = math.comb(n + d - 1, d - 1)
+    assert size > CHUNK
+    rng = np.random.default_rng([383, d, n])
+    a, b = np.log(rng.dirichlet(np.ones(d))), rng.uniform(-2, 2, d)
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    one_piece = np.empty(size), np.empty(size), np.empty(size)
+    theory._type_class_piece(n, logfact, a, b, 0, n + 1, one_piece)
+    for got, want in zip(theory._type_classes(n, a, b), one_piece):
+        np.testing.assert_array_equal(got, want)
+    if d == 3:  # and the rows come in the order of the divider enumeration
+        np.testing.assert_array_equal(compositions(n, d), reference_compositions(n, d))
 
 
 def left_to_right(k, log_base):
